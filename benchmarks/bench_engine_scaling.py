@@ -2,14 +2,14 @@
 
 The sharded engine's pitch is data-parallel scale-out of the offline
 analyses (docs/ENGINE.md): partition once into zero-copy columnar shard
-buffers (the v3 transport), then analyze shards on N worker processes
+buffers (format v3 mmap'd shard files), then analyze shards on N worker processes
 that attach to the buffers without deserializing anything.  This
 benchmark measures both halves separately:
 
 * the **partition** stage — one streamed pass over the trace (an
   Eclipse-style ``Import`` operation, the paper's heaviest workload
   shape, ≥200k events at the default scale), timed once; its published
-  ``shard_bytes`` is the entire transport payload (33 bytes/event plus
+  ``shard_bytes`` is the entire shard payload (33 bytes/event plus
   the intern table), and
 * the **analyze+merge** phase — timed at 1, 2, and 4 workers against
   the same shard buffers, the same way a ``--resume`` run would execute
@@ -55,20 +55,16 @@ MIN_SPEEDUP = os.environ.get("REPRO_BENCH_MIN_SPEEDUP")
 def partitioned(tmp_path_factory):
     """One partitioned working directory shared by every worker count.
 
-    The mmap transport is used deliberately: the buffers are attached by
-    every (jobs, round) cell below, and file-backed buffers share one
-    page-cache copy across all of them — the same reasoning the service's
-    resident partitions use (docs/SERVICE.md).
+    The shard files are attached by every (jobs, round) cell below and
+    share one page-cache copy across all of them — the same reasoning the
+    service's resident partitions use (docs/SERVICE.md).
     """
     trace = run_program(import_program(ENGINE_SCALE), seed=0)
     root = str(tmp_path_factory.mktemp("engine_scaling"))
     started = time.perf_counter()
-    meta = partition_events(
-        iter(trace.events), Workdir(root), NSHARDS, transport="mmap"
-    )
+    meta = partition_events(iter(trace.events), Workdir(root), NSHARDS)
     partition_s = time.perf_counter() - started
     stage = {
-        "transport": meta["transport"],
         "partition_s": partition_s,
         "shard_bytes": sum(meta.get("shard_bytes", [])),
     }
@@ -163,8 +159,7 @@ def test_engine_scaling_summary(partitioned, engine_bench_recorder):
     if partition:
         print(
             f"  partition: {partition['partition_s']:.3f}s "
-            f"({partition['shard_bytes']:,} shard bytes, "
-            f"{partition['transport']} transport)"
+            f"({partition['shard_bytes']:,} shard bytes)"
         )
     for jobs in WORKER_COUNTS:
         cell = results.get(str(jobs))
@@ -184,5 +179,5 @@ def test_engine_scaling_summary(partitioned, engine_bench_recorder):
         assert achieved >= floor, (
             f"4-worker speedup {achieved:.2f}x is below the "
             f"REPRO_BENCH_MIN_SPEEDUP={floor:g}x floor on a "
-            f"{data['cpus']}-cpu runner — the transport stopped scaling"
+            f"{data['cpus']}-cpu runner — the engine stopped scaling"
         )

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Tuple
 
+from repro.core.detector import Detector
 from repro.core.state import ThreadState
 from repro.core.vectorclock import VectorClock
-from repro.detectors.base import Detector
 from repro.trace import events as ev
 
 

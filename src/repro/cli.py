@@ -210,8 +210,6 @@ def _print_json_results(json_results, args) -> None:
 
 def _cmd_check_sharded(args) -> int:
     """The ``--jobs N`` / ``--shards M`` / ``--resume DIR`` engine path."""
-    import tempfile
-
     from repro import engine
 
     from repro.kernels import has_kernel
@@ -238,7 +236,7 @@ def _cmd_check_sharded(args) -> int:
     owns_workdir = False
     if workdir is None and len(tool_names) > 1:
         # Partition once, analyze with every tool against the same shards.
-        workdir = tempfile.mkdtemp(prefix="repro-engine-")
+        workdir = engine.scratch_workdir()
         owns_workdir = True
     if args.all_tools and not args.verbose and not args.json:
         print(f"{'tool':<12s}{'warnings':>9s}")
@@ -271,7 +269,6 @@ def _cmd_check_sharded(args) -> int:
                 tool_kwargs=kwargs,
                 kernel=kernel,
                 policy=policy,
-                transport=getattr(args, "transport", "auto"),
             )
             if name == args.tool:
                 worst = report.warning_count
@@ -311,17 +308,8 @@ def _cmd_check_sharded(args) -> int:
               file=sys.stderr)
         return 2
     finally:
-        if workdir is not None:
-            # Release any shm blocks the partition created (no-op for the
-            # mmap transport).  This also covers ``--resume DIR
-            # --transport shm``: shm partitions cannot outlive their
-            # creating process anyway, so unlinking here just beats the
-            # resource tracker's noisier exit-time backstop to it.
-            engine.Workdir(workdir).release_blocks()
         if owns_workdir:
-            import shutil
-
-            shutil.rmtree(workdir, ignore_errors=True)
+            engine.Workdir(workdir).release_blocks()
     if args.json:
         _print_json_results(json_results, args)
     if args.report is not None and selected is not None:
@@ -499,7 +487,7 @@ def cmd_profile(args) -> int:
     tool_names = list(DETECTORS) if args.all_tools else [args.tool]
     workdir = None
     if len(tool_names) > 1:
-        workdir = tempfile.mkdtemp(prefix="repro-engine-")
+        workdir = engine.scratch_workdir()
     reports = {}
     try:
         with obs.span("check", trace=args.trace, jobs=args.jobs):
@@ -527,7 +515,7 @@ def cmd_profile(args) -> int:
     finally:
         obs.disable()
         if workdir is not None:
-            shutil.rmtree(workdir, ignore_errors=True)
+            engine.Workdir(workdir).release_blocks()
     # Stitch every span file in the dir — a --jobs N run's workers wrote
     # their own spans-<pid>.jsonl files next to the main spans.jsonl.
     spans = obs.read_all_spans(directory, validate=False)
@@ -983,14 +971,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="engine working directory; reuses finished shards on re-run",
-    )
-    check.add_argument(
-        "--transport",
-        choices=("auto", "shm", "mmap"),
-        default="auto",
-        help="shard transport for the sharded engine: shm (zero-copy "
-        "shared-memory blocks), mmap (durable shard files — what "
-        "--resume directories use), or auto",
     )
     check.add_argument(
         "--report",

@@ -21,14 +21,14 @@ AsyncFinish     yes        FastTrack + async-finish task scopes (PAPERS.md)
 :mod:`repro.predict.vindicate` — not by Theorem 1; see docs/PREDICT.md.)
 """
 
-from repro.detectors.base import (
+from repro.core.detector import (
     CostStats,
     Detector,
     RaceWarning,
-    VCSyncDetector,
     coarse_grain,
     fine_grain,
 )
+from repro.core.vcsync import VCSyncDetector
 from repro.detectors.empty import Empty
 from repro.detectors.eraser import Eraser
 from repro.detectors.basicvc import BasicVC

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Hashable
 
 from repro.core.vectorclock import VectorClock
-from repro.detectors.base import VCSyncDetector
+from repro.core.vcsync import VCSyncDetector
 from repro.trace import events as ev
 
 

@@ -8,7 +8,7 @@ EMPTY's, isolating analysis cost from event-delivery cost.
 
 from __future__ import annotations
 
-from repro.detectors.base import Detector
+from repro.core.detector import Detector
 
 
 class Empty(Detector):

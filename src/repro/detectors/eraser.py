@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Hashable, Optional, Set
 
-from repro.detectors.base import Detector
+from repro.core.detector import Detector
 from repro.trace import events as ev
 
 VIRGIN = 0

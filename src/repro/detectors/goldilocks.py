@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Set, Tuple
 
-from repro.detectors.base import Detector
+from repro.core.detector import Detector
 from repro.trace import events as ev
 
 # Lockset elements are tagged so thread ids can never collide with lock or

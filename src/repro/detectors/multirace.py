@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Hashable, Optional, Set
 
 from repro.core.vectorclock import VectorClock
-from repro.detectors.base import VCSyncDetector
+from repro.core.vcsync import VCSyncDetector
 from repro.trace import events as ev
 
 

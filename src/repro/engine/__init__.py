@@ -7,9 +7,8 @@ for a single in-memory pass and to machines with more than one core, with
 1. :mod:`~repro.engine.partition` — a single streaming pass routes each
    read/write to ``stable_hash(variable) % nshards`` and broadcasts every
    synchronization event to all shards, publishing flat zero-copy
-   columnar buffers against shared intern tables through
-   :mod:`~repro.engine.transport` (format v3: shared-memory blocks or
-   mmap'd shard files, ``transport='shm'|'mmap'|'auto'``);
+   columnar buffers against shared intern tables as mmap'd shard files
+   (:mod:`~repro.engine.transport`, format v3);
 2. :mod:`~repro.engine.worker` — per-shard detector runs (optionally in
    ``multiprocessing`` workers), each seeing the complete sync order plus
    its variables' accesses, so per-variable analysis is exact;
@@ -34,13 +33,15 @@ bit-identical to ``make_detector(tool).process(trace).warnings`` (the
 differential suite ``tests/test_engine_equivalence.py`` enforces this).
 The CLI exposes the engine as ``repro check --jobs N [--shards M]
 [--resume DIR]``; see docs/ENGINE.md for the precision argument and the
-checkpoint layout.
+checkpoint layout.  A run without a caller-provided ``workdir`` keeps its
+throwaway working directory under :func:`scratch_root` (tmpfs when the
+host has one) and removes it on every exit.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import shutil
+import os
 import signal
 import tempfile
 import time
@@ -61,7 +62,6 @@ from repro.engine.partition import (
     iter_shard,
     load_shard_columns,
     partition_events,
-    resolve_transport,
     shard_of,
 )
 from repro.engine.supervise import (
@@ -111,11 +111,36 @@ __all__ = [
     "render_markdown",
     "request_drain",
     "reset_drain",
-    "resolve_transport",
     "run_shard",
     "run_supervised",
+    "scratch_root",
+    "scratch_workdir",
     "shard_of",
 ]
+
+
+#: Preferred home of engine-owned throwaway workdirs.  On tmpfs the spill
+#: files, shard buffers, fsynced checkpoints and the final ``rmtree`` never
+#: touch a disk; a workdir needs about the partition's shard bytes plus
+#: one shard of space there while it is being built.
+SHM_ROOT = "/dev/shm"
+
+
+def scratch_root() -> str:
+    """The directory engine-owned throwaway workdirs are created in:
+    :data:`SHM_ROOT` when it is a writable directory, else
+    :func:`tempfile.gettempdir`."""
+    if os.path.isdir(SHM_ROOT) and os.access(SHM_ROOT, os.W_OK | os.X_OK):
+        return SHM_ROOT
+    return tempfile.gettempdir()
+
+
+def scratch_workdir() -> str:
+    """Create a fresh engine-owned workdir under :func:`scratch_root`.
+
+    Its owner tears it down with :meth:`Workdir.release_blocks`.
+    """
+    return tempfile.mkdtemp(prefix="repro-engine-", dir=scratch_root())
 
 
 def default_nshards(jobs: int) -> int:
@@ -189,27 +214,16 @@ def _run(
     kernel: str,
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
-    transport: str = "auto",
 ) -> MergedReport:
     # Usage errors (unknown kernel mode, --kernel fused on a kernel-less
     # tool) must fail fast, not be retried and quarantined as if the
     # shards themselves were poisoned.
     resolve_kernel(kernel, tool)
     owns_workdir = workdir is None
-    root = workdir if workdir is not None else tempfile.mkdtemp(
-        prefix="repro-engine-"
-    )
-    # ``auto`` picks shm only for engine-owned throwaway directories: a
-    # caller-provided workdir exists to survive this process (``--resume``,
-    # the service's resident partitions on disk), and shm blocks die with
-    # their creator's resource tracker.  Explicit 'shm'/'mmap' is honored
-    # either way.
-    if transport == "auto" and not owns_workdir:
-        transport = "mmap"
-    transport = resolve_transport(transport)
-    timings: Dict = {"transport": None, "partition_s": None}
+    root = scratch_workdir() if owns_workdir else workdir
+    wd = Workdir(root)
+    timings: Dict = {"partition_s": None}
     try:
-        wd = Workdir(root)
         meta = wd.read_meta() if resume else None
         if meta is not None:
             # A complete partition is already on disk: validate and reuse it
@@ -224,19 +238,14 @@ def _run(
                 wd.ensure_resumable_layout(meta)
             shards = nshards if nshards is not None else default_nshards(jobs)
             partition_started = time.monotonic()
-            with obs.span(
-                "engine.partition", tool=tool, transport=transport
-            ) as span:
-                meta = partition_events(
-                    events_factory(), wd, shards, transport=transport
-                )
+            with obs.span("engine.partition", tool=tool) as span:
+                meta = partition_events(events_factory(), wd, shards)
                 span.set(
                     events=meta["events"], shards=meta["nshards"],
                     bytes=sum(meta.get("shard_bytes", [])),
                 )
             timings["partition_s"] = time.monotonic() - partition_started
         count = meta["nshards"]
-        timings["transport"] = meta.get("transport", "mmap")
         timings["shard_bytes"] = sum(meta.get("shard_bytes", []))
         if jobs > 1 and count and meta["events"] // count < MIN_EVENTS_PER_SHARD:
             obs.log.warning(
@@ -329,7 +338,6 @@ def _run(
                 analyze_s=timings.get("analyze_s"),
                 merge_s=timings.get("merge_s"),
                 transport_s=timings.get("transport_s"),
-                transport=timings.get("transport"),
                 shard_bytes=timings.get("shard_bytes"),
             )
         if quarantined:
@@ -352,15 +360,7 @@ def _run(
         return report
     finally:
         if owns_workdir:
-            # Teardown sweep: release this partition's shm blocks (if any)
-            # through their owned handles before dropping the directory —
-            # supervised failure paths must never lean on the resource
-            # tracker's exit-time backstop.
-            try:
-                Workdir(root).release_blocks()
-            except OSError:  # pragma: no cover - sweep is best-effort
-                pass
-            shutil.rmtree(root, ignore_errors=True)
+            wd.release_blocks()
 
 
 def check_events(
@@ -376,7 +376,6 @@ def check_events(
     kernel: str = "auto",
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
-    transport: str = "auto",
 ) -> MergedReport:
     """Shard-check an in-memory event sequence (or any one-shot iterable).
 
@@ -384,9 +383,9 @@ def check_events(
     one across jobs to amortize worker startup); without it, ``jobs``
     decides whether a throwaway pool is spun up.  ``policy`` tunes the
     supervisor (retries, shard watchdog, run deadline — see
-    :class:`repro.engine.supervise.RetryPolicy`).  ``transport`` picks the
-    v3 shard publication (``'shm'``/``'mmap'``; ``'auto'`` uses shm only
-    for engine-owned throwaway directories).
+    :class:`repro.engine.supervise.RetryPolicy`).  Without ``workdir``
+    the run partitions into a throwaway directory under
+    :func:`scratch_root` and removes it on the way out.
     """
     return _run(
         lambda: iter(events),
@@ -400,7 +399,6 @@ def check_events(
         kernel,
         executor=executor,
         policy=policy,
-        transport=transport,
     )
 
 
@@ -418,7 +416,6 @@ def check_trace_file(
     kernel: str = "auto",
     executor: Optional[concurrent.futures.Executor] = None,
     policy: Optional[RetryPolicy] = None,
-    transport: str = "auto",
 ) -> MergedReport:
     """Shard-check a serialized trace file, streaming it during partition.
 
@@ -450,5 +447,4 @@ def check_trace_file(
         kernel,
         executor=executor,
         policy=policy,
-        transport=transport,
     )

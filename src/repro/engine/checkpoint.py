@@ -7,14 +7,12 @@ never finished::
     DIR/
       meta.json                     partition metadata (written last, so its
                                     presence certifies a complete partition);
-                                    v3 adds transport/generation/blocks/
-                                    shard_bytes for the zero-copy transport
+                                    v3 adds generation/shard_bytes for the
+                                    zero-copy shard buffers
       intern.bin                    the shared target/site intern tables all
                                     shards' columns index into
-      shards/shard_0007.bin         one flat v3 columnar buffer per shard
-                                    (mmap transport only — under shm the
-                                    buffers live in named shared-memory
-                                    blocks recorded in meta.json)
+      shards/shard_0007.bin         one flat v3 columnar buffer per shard,
+                                    memory-mapped by the workers
       results/FastTrack/shard_0007.json
                                     one checkpoint per (tool, shard); the
                                     file's existence is the progress record
@@ -36,6 +34,7 @@ import json
 import os
 import pickle
 import re
+import shutil
 import tempfile
 from typing import Dict, Hashable, List, Optional, Tuple
 
@@ -43,11 +42,11 @@ from repro import faults
 
 #: Bump when the shard file or checkpoint format changes incompatibly.
 #: Version 3: shards are flat fixed-width columnar buffers (five segments,
-#: 33 bytes/event — see :mod:`repro.engine.transport`) published through
-#: shared-memory blocks or mmap'd shard files; v2's pickle-framed batch
-#: files are gone.  A v1/v2 directory fails ``read_meta``; resuming one is
-#: rejected with an explicit version error by ``ensure_resumable_layout``
-#: rather than silently re-partitioned over stale checkpoints.
+#: 33 bytes/event — see :mod:`repro.engine.transport`) in mmap'd shard
+#: files; v2's pickle-framed batch files are gone.  A v1/v2 directory
+#: fails ``read_meta``; resuming one is rejected with an explicit version
+#: error by ``ensure_resumable_layout`` rather than silently
+#: re-partitioned over stale checkpoints.
 FORMAT_VERSION = 3
 
 
@@ -110,9 +109,8 @@ class Workdir:
         """Whatever parses at ``meta.json``, *any* format version.
 
         The version-checked :meth:`read_meta` is what analysis trusts;
-        this raw reader exists for lifecycle sweeps (releasing a crashed
-        predecessor's shm blocks before overwriting its metadata) and for
-        naming the offending version in resume-rejection errors.
+        this raw reader exists for naming the offending version in
+        resume-rejection errors.
         """
         try:
             with open(self.meta_path, "r", encoding="utf-8") as stream:
@@ -129,31 +127,12 @@ class Workdir:
                 f"shards but {nshards} were requested; drop --shards or use "
                 "a fresh directory"
             )
-        if meta.get("transport") == "shm":
-            # Shard buffers live in named shm blocks; verify each is still
-            # attachable (a reboot or tracker sweep may have reaped them).
-            from repro.engine import transport as _transport
-
-            names = (meta.get("blocks") or {}).get("shards") or []
-            for shard in range(meta.get("nshards", 0)):
-                try:
-                    view = _transport.attach_view(self, meta, shard)
-                except (OSError, FileNotFoundError, IndexError) as exc:
-                    raise CheckpointError(
-                        f"resume directory's shm shard block for shard "
-                        f"{shard} ({names[shard] if shard < len(names) else '?'}) "
-                        f"is gone ({exc}); shared-memory partitions do not "
-                        "survive the creating process — re-run without "
-                        "--resume or partition with the mmap transport"
-                    )
-                view.close()
-        else:
-            for shard in range(meta.get("nshards", 0)):
-                if not os.path.exists(self.shard_path(shard)):
-                    raise CheckpointError(
-                        f"resume directory is missing shard file "
-                        f"{self.shard_path(shard)!r}"
-                    )
+        for shard in range(meta.get("nshards", 0)):
+            if not os.path.exists(self.shard_path(shard)):
+                raise CheckpointError(
+                    f"resume directory is missing shard file "
+                    f"{self.shard_path(shard)!r}"
+                )
         if not os.path.exists(self.intern_path):
             raise CheckpointError(
                 f"resume directory is missing the intern table "
@@ -282,16 +261,17 @@ class Workdir:
             )
 
     def release_blocks(self) -> None:
-        """Release every shm block this directory's metadata names.
+        """Tear down an engine-owned scratch workdir: remove the directory
+        with every shard buffer, spill file and checkpoint in it.
 
-        Safe to call unconditionally (no-op for the mmap transport and
-        for directories with no metadata); the engine calls it from its
-        teardown path so supervised runs never lean on the resource
-        tracker's exit-time backstop.
+        The single teardown of the directories
+        :func:`repro.engine.scratch_workdir` creates, run on every exit
+        from a run that owns one.  Never call it on a caller's directory
+        (``--resume DIR``, a service partition): those outlive the run.
+        The name predates the single mmap transport; profilers hook the
+        engine's teardown by it.
         """
-        from repro.engine import transport as _transport
-
-        _transport.release_blocks(self.read_raw_meta())
+        shutil.rmtree(self.root, ignore_errors=True)
 
     def write_result(self, tool: str, shard: int, payload: Dict) -> str:
         path = self.result_path(tool, shard)

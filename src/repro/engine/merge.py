@@ -58,7 +58,7 @@ class MergedReport:
     degraded: Optional[Dict] = None
     #: Per-stage wall-clock breakdown for this run, filled in by the
     #: engine orchestrator: ``{"partition_s", "transport_s", "analyze_s",
-    #: "merge_s", "shard_bytes", "transport"}``.  Deliberately **not**
+    #: "merge_s", "shard_bytes"}``.  Deliberately **not**
     #: part of :meth:`to_json` — the ``repro.result/1`` document must stay
     #: byte-identical across runs (the CLI/service share those bytes);
     #: timings are for benchmarks and telemetry, not the result contract.

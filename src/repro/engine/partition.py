@@ -21,15 +21,12 @@ out).
 Shards are published in the **v3 zero-copy columnar format** of
 :mod:`repro.engine.transport`: five flat fixed-width segments (original
 trace indices, tids, interned target ids, interned site ids, kinds) in
-one contiguous buffer per shard — a ``multiprocessing.shared_memory``
-block (``transport='shm'``) or an mmap'd ``shards/shard_NNNN.bin``
-(``transport='mmap'``, the durable fallback ``--resume`` and the service's
-resident partitions use).  Workers *attach* instead of deserializing:
-``memoryview`` casts over the buffer feed the fused kernels directly,
-so the per-event transport cost is zero regardless of worker count.
-Targets and sites are interned once into partition-wide tables (persisted
-to ``intern.bin``, and into an intern block under shm) — shard columns
-carry dense ids only, never per-batch intern deltas.
+one contiguous buffer per shard, written to ``shards/shard_NNNN.bin``.
+Workers *attach* instead of deserializing: ``memoryview`` casts over the
+mapped file feed the fused kernels directly, so the per-event transport
+cost is zero regardless of worker count.  Targets and sites are interned
+once into partition-wide tables (persisted to ``intern.bin``) — shard
+columns carry dense ids only, never per-batch intern deltas.
 
 Streaming stays bounded-memory: events accumulate in per-shard batches
 (:data:`BATCH_EVENTS`) that spill to scratch files, and the final buffers
@@ -66,24 +63,11 @@ def shard_of(target: Hashable, nshards: int) -> int:
     return zlib.crc32(repr(target).encode("utf-8")) % nshards
 
 
-def resolve_transport(transport: str) -> str:
-    """Resolve the ``auto`` transport selector against host support."""
-    if transport == "auto":
-        return "shm" if _transport.supports_shm() else "mmap"
-    if transport not in _transport.TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r}; expected 'auto' or one of "
-            f"{_transport.TRANSPORTS}"
-        )
-    return transport
-
-
 def partition_events(
     events: Iterable[ev.Event],
     workdir: Workdir,
     nshards: int,
     batch_events: int = BATCH_EVENTS,
-    transport: str = "mmap",
 ) -> Dict:
     """Stream ``events`` into ``nshards`` v3 columnar shard buffers.
 
@@ -92,22 +76,12 @@ def partition_events(
     the same tables and workers can share one loaded copy.  Returns the
     partition metadata (also persisted as ``meta.json``; its write is the
     last step, so a half-partitioned directory is recognizably incomplete
-    and gets re-partitioned on resume).
-
-    ``transport`` picks the shard buffer publication: ``'shm'`` for
-    shared-memory blocks (fastest; lifetime owned by this process),
-    ``'mmap'`` for mmap-able shard files (durable across process death —
-    the default, and what resumable working directories should use), or
-    ``'auto'``.
+    and gets re-partitioned on resume).  The ``generation`` token in the
+    metadata is fresh per call; it keys the per-process intern cache, so
+    a re-partitioned root is never served a predecessor's tables.
     """
     if nshards < 1:
         raise ValueError(f"nshards must be >= 1, got {nshards}")
-    transport = resolve_transport(transport)
-    # A crashed predecessor may have left shm blocks behind at this root:
-    # release whatever the previous metadata still names before its
-    # meta.json is overwritten (the block names embed a per-partition
-    # generation token, so nothing here can collide with the new run).
-    _transport.release_blocks(workdir.read_raw_meta())
     generation = os.urandom(4).hex()
     spill_paths = [workdir.shard_path(s) + ".spill" for s in range(nshards)]
     streams = [open(path, "wb") for path in spill_paths]
@@ -144,7 +118,6 @@ def partition_events(
         if len(b_idx) >= batch_events:
             flush(shard)
 
-    assembler = _transport.ShardAssembler(workdir, transport, generation)
     try:
         try:
             for index, event in enumerate(events):
@@ -183,17 +156,19 @@ def partition_events(
         finally:
             for stream in streams:
                 stream.close()
-        for shard in range(nshards):
-            assembler.assemble(shard, spill_paths[shard], shard_events[shard])
+        shard_bytes = [
+            _transport.assemble_shard(
+                workdir.shard_path(shard), spill_paths[shard],
+                shard_events[shard],
+            )
+            for shard in range(nshards)
+        ]
         workdir.write_intern(targets, sites)
-        intern_block = assembler.write_intern_block(targets, sites)
     except BaseException:
-        assembler.abort()
         for path in spill_paths:
             if os.path.exists(path):
                 os.unlink(path)
         raise
-    shard_bytes = list(assembler.shard_bytes)
     meta = {
         "nshards": nshards,
         "events": total,
@@ -203,25 +178,20 @@ def partition_events(
         "shard_events": shard_events,
         "targets": len(targets),
         "sites": len(sites),
-        "transport": transport,
         "generation": generation,
         "shard_bytes": shard_bytes,
-        "blocks": {
-            "shards": list(assembler.block_names),
-            "intern": intern_block,
-        },
     }
     workdir.write_meta(meta)
     from repro import obs
 
-    obs.record_shard_bytes(sum(shard_bytes), transport=transport)
+    obs.record_shard_bytes(sum(shard_bytes))
     return meta
 
 
 def attach_shard(
     workdir: Workdir, shard: int, meta: Optional[Dict] = None
 ) -> _transport.ShardView:
-    """Attach one shard's transport buffer (see
+    """Attach one shard's mapped buffer (see
     :class:`repro.engine.transport.ShardView`); close it when done."""
     if meta is None:
         meta = workdir.read_meta()
@@ -240,7 +210,7 @@ def load_shard_columns(
     """Load one shard as ``(columns, original_indices)`` — zero-copy.
 
     The returned :class:`~repro.trace.columnar.ColumnarTrace` wraps
-    ``memoryview`` casts over the shard's transport buffer and shares the
+    ``memoryview`` casts over the shard's mapped buffer and shares the
     partition-wide intern tables (pass ``intern`` to reuse an already
     loaded copy across shards), so fused kernels run on it directly;
     ``original_indices[i]`` is the trace position of the shard's ``i``-th

@@ -32,17 +32,16 @@ Drain semantics are unchanged from PR 3: SIGTERM lets in-flight shards
 checkpoint, then :class:`~repro.engine.worker.DrainRequested` propagates
 — a drain is an orderly stop, not a failure, so it is never retried.
 
-Interaction with the v3 shard transport: none of these failure paths can
-leak shared-memory blocks, by construction.  Workers only ever *attach*
-(untracked — see :mod:`repro.engine.transport`), so a worker killed by
+Interaction with the v3 shard buffers: none of these failure paths can
+leak scratch space.  Workers only ever map shard files read-only (see
+:mod:`repro.engine.transport`), so a worker killed by
 ``worker.crash``/SIGKILL, a hung worker shot by the watchdog, and a
-quarantined shard's retries all die without owning a single block; the
-OS reclaims their mappings with the process.  The blocks themselves
-belong to the partitioning parent, whose engine teardown
-(``Workdir.release_blocks``) runs on every exit from ``_run`` — clean,
-drained, quarantined, or raising — and the stdlib resource tracker
-remains the kill -9 backstop.  ``tests/test_faults.py`` asserts
-``leaked_blocks() == []`` after a kill-storm.
+quarantined shard's retries all die owning nothing; the OS reclaims
+their mappings with the process.  An engine-owned workdir belongs to the
+partitioning parent, whose teardown (``Workdir.release_blocks``) removes
+it on every exit from ``_run`` — clean, drained, quarantined, or
+raising.  ``tests/test_faults.py`` asserts that no ``repro-engine-*``
+directory survives a kill-storm.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Zero-copy shard transport: shared-memory and mmap columnar blocks.
+"""Zero-copy shard buffers: mmap'd columnar shard files.
 
 Format v2 moved shard payloads from pickled ``Event`` objects to columnar
 batches, but still *pickle-framed* them through the filesystem: every
@@ -18,82 +18,35 @@ Format v3 removes the tax.  The partitioner lays each shard out as five
     total  33n bytes  (the int8 segment goes last, so every int64
                        segment stays 8-byte aligned for memoryview.cast)
 
-and publishes the buffer through one of two transports:
-
-* ``shm`` — a ``multiprocessing.shared_memory`` block per shard (plus one
-  carrying the pickled intern tables).  Workers attach by name and wrap
-  the block with ``memoryview(...).cast(...)``: zero bytes copied, zero
-  per-event deserialization, and on Linux the pages are shared between
-  every worker mapping them.
-* ``mmap`` — the same byte layout in an ordinary ``shards/shard_NNNN.bin``
-  file, memory-mapped read-only on attach.  This is the durable fallback:
-  ``--resume`` working directories and the service's resident partitions
-  survive process death (and reboots) because the bytes live on disk,
-  while the page cache still deduplicates them across workers.
-
-Lifecycle rules (docs/ENGINE.md spells them out):
-
-* the **creating process owns** shm blocks: creation registers them with
-  the stdlib ``resource_tracker`` and in this module's ``_OWNED`` table;
-  :func:`release_blocks` unlinks owned blocks through their handles so
-  the tracker is unregistered exactly once — no "leaked shared_memory
-  objects" warnings, no double unlink.
-* **attachers never register**: worker processes (and cross-process
-  sweepers) attach through :func:`_attach_untracked`, which suppresses
-  the tracker registration the stdlib performs even for ``create=False``
-  opens.  Without this, every pool worker's exit would enqueue a spurious
-  unlink of a block it never owned.
-* block names embed a digest of the working directory root *and* a
-  per-partition generation token (recorded in ``meta.json``), so a
-  re-partition of the same root never collides with a crashed
-  predecessor; :func:`partition_events` releases the previous
-  generation's blocks before writing the new one.
-* if the creating process dies without cleanup (kill -9 of the CLI
-  itself), the resource tracker unlinks the registered blocks at its own
-  exit — the OS-level backstop.  :func:`leaked_blocks` scans ``/dev/shm``
-  for the ``repro3-`` prefix so the chaos suite can assert the backstop
-  is never needed on supervised failure paths.
+and writes it to ``shards/shard_NNNN.bin`` in the partition's working
+directory.  Workers memory-map the file read-only and wrap it with
+``memoryview(...).cast(...)``: zero bytes copied, zero per-event
+deserialization, and the page cache holds one copy however many workers
+map it.  Where the bytes live is the working directory's business:
+engine-owned throwaway runs sit on tmpfs (``repro.engine.scratch_root``),
+so the "file" never touches a disk; ``--resume`` directories and the
+service's resident partitions sit wherever their owner put them and
+survive process death.
 """
 
 from __future__ import annotations
 
-import hashlib
 import mmap
 import os
-import pickle
 import struct
 import threading
 from typing import Dict, List, Optional, Tuple
 
-try:
-    from multiprocessing import shared_memory as _shm
-except ImportError:  # pragma: no cover - stdlib always has it on 3.8+
-    _shm = None
-
 from repro.trace.columnar import ColumnarTrace
 
 __all__ = [
-    "BLOCK_PREFIX",
-    "TRANSPORTS",
     "ShardView",
+    "assemble_shard",
     "attach_view",
-    "block_name",
-    "leaked_blocks",
     "load_intern",
-    "release_blocks",
-    "release_names",
-    "reset_process_caches",
     "shard_layout",
     "shard_nbytes",
-    "supports_shm",
 ]
-
-#: Accepted transport selectors (``auto`` resolves before meta is written).
-TRANSPORTS = ("shm", "mmap")
-
-#: Every shm block this package creates starts with this, so leak sweeps
-#: can recognize ours in /dev/shm without touching anything else.
-BLOCK_PREFIX = "repro3-"
 
 #: Segment order inside a shard buffer: four int64 columns, then the int8
 #: kind column (last, so the 8-byte columns never need padding).
@@ -102,29 +55,12 @@ _INT64_SEGMENTS = ("indices", "tids", "target_ids", "site_ids")
 #: One spill frame: event count, then the five segments' raw bytes.
 _FRAME_HEADER = struct.Struct("<q")
 
-#: Blocks created (and therefore owned) by this process, name → handle.
-_OWNED: Dict[str, "_shm.SharedMemory"] = {}
-_OWNED_LOCK = threading.Lock()
-
 #: Per-process intern-table cache: (root, generation) → (targets, sites).
 #: Pool workers analyze many (tool, shard) pairs against one partition;
 #: loading the tables once per process instead of once per shard is part
 #: of the "no per-batch intern deltas" contract.
 _INTERN_CACHE: Dict[Tuple[str, str], Tuple[list, list]] = {}
 _INTERN_LOCK = threading.Lock()
-
-
-def supports_shm() -> bool:
-    """True when POSIX shared memory is usable on this host."""
-    if _shm is None:
-        return False
-    try:
-        probe = _shm.SharedMemory(create=True, size=1)
-    except (OSError, ValueError):
-        return False
-    probe.close()
-    probe.unlink()
-    return True
 
 
 def shard_layout(n: int) -> Dict[str, Tuple[int, int]]:
@@ -143,228 +79,41 @@ def shard_nbytes(n: int) -> int:
     return 33 * n
 
 
-def block_name(root: str, generation: str, what: str) -> str:
-    """Deterministic shm block name for ``(workdir root, generation)``.
-
-    The root digest keys the partition's identity; the generation token
-    (random per ``partition_events`` call, persisted in ``meta.json``)
-    keeps a re-partition of the same root from colliding with a crashed
-    predecessor's blocks.
-    """
-    digest = hashlib.sha1(
-        os.path.abspath(root).encode("utf-8", "surrogatepass")
-    ).hexdigest()[:12]
-    return f"{BLOCK_PREFIX}{digest}-{generation}-{what}"
-
-
-class _suppress_tracking:
-    """Attach-side guard: stop ``SharedMemory(name=...)`` from registering
-    with the resource tracker (the stdlib registers even for attaches,
-    which makes every worker exit enqueue an unlink it must not own)."""
-
-    _lock = threading.Lock()
-
-    def __enter__(self):
-        from multiprocessing import resource_tracker
-
-        self._lock.acquire()
-        self._rt = resource_tracker
-        self._register = resource_tracker.register
-        self._unregister = resource_tracker.unregister
-        resource_tracker.register = lambda *a, **k: None
-        resource_tracker.unregister = lambda *a, **k: None
-        return self
-
-    def __exit__(self, *exc):
-        self._rt.register = self._register
-        self._rt.unregister = self._unregister
-        self._lock.release()
-        return False
-
-
-def _attach_untracked(name: str) -> "_shm.SharedMemory":
-    with _suppress_tracking():
-        return _shm.SharedMemory(name=name)
-
-
-def _create_block(name: str, size: int) -> "_shm.SharedMemory":
-    """Create (and own) one block; a stale same-named block from a crashed
-    run is unlinked and replaced."""
-    size = max(1, size)
-    try:
-        block = _shm.SharedMemory(name=name, create=True, size=size)
-    except FileExistsError:
-        with _suppress_tracking():
-            stale = _shm.SharedMemory(name=name)
-            stale.close()
-            stale.unlink()
-        block = _shm.SharedMemory(name=name, create=True, size=size)
-    with _OWNED_LOCK:
-        _OWNED[name] = block
-    return block
-
-
-def release_names(names: List[str]) -> None:
-    """Unlink the named blocks, wherever they were created.
-
-    Owned blocks go through their registered handles (unlinking also
-    unregisters them from the resource tracker, exactly once); foreign
-    blocks — a sweeper cleaning up after a crashed sibling process — are
-    unlinked without touching this process's tracker at all.
-    """
-    if _shm is None:
-        return
-    for name in names:
-        with _OWNED_LOCK:
-            owned = _OWNED.pop(name, None)
-        if owned is not None:
-            try:
-                owned.close()
-                owned.unlink()
-            except (OSError, FileNotFoundError):
-                pass
-            continue
-        try:
-            with _suppress_tracking():
-                foreign = _shm.SharedMemory(name=name)
-                foreign.close()
-                foreign.unlink()
-        except (OSError, FileNotFoundError, ValueError):
-            pass
-
-
-def release_blocks(meta: Optional[Dict]) -> None:
-    """Release every shm block a partition's metadata names (no-op for
-    the mmap transport and for pre-v3 metadata)."""
-    if not meta or meta.get("transport") != "shm":
-        return
-    blocks = meta.get("blocks") or {}
-    names = list(blocks.get("shards") or [])
-    if blocks.get("intern"):
-        names.append(blocks["intern"])
-    release_names(names)
-
-
-def leaked_blocks() -> List[str]:
-    """Names of every live ``repro3-`` shm block on this host.
-
-    Linux-specific (scans ``/dev/shm``); returns ``[]`` where that view
-    does not exist.  The chaos suite asserts this is empty after
-    kill-storms — the supervised failure paths must clean up without
-    relying on the resource tracker's exit-time backstop.
-    """
-    try:
-        entries = os.listdir("/dev/shm")
-    except OSError:
-        return []
-    return sorted(
-        entry for entry in entries if entry.startswith(BLOCK_PREFIX)
-    )
-
-
-def reset_process_caches() -> None:
-    """Drop the per-process intern cache (tests and long-lived daemons)."""
-    with _INTERN_LOCK:
-        _INTERN_CACHE.clear()
-
-
 # -- writer side ---------------------------------------------------------------
 
 
-class ShardAssembler:
-    """Copies spill frames into the final v3 buffers, one shard at a time.
+def assemble_shard(path: str, spill_path: str, n: int) -> int:
+    """Copy one shard's spill frames into its final v3 buffer at ``path``.
 
     The partitioner streams events into per-shard spill files (bounded
     memory: one batch per shard in flight), which fixes the per-shard
-    event counts; this class then lays each shard out as the flat
-    segments above, in a shm block or an mmap'd ``shard_NNNN.bin``.
+    event counts; this lays each shard out as the flat segments above,
+    syncs it (``meta.json``, written after every shard, certifies a
+    complete partition) and deletes the spill file.  Plain positioned
+    writes rather than a writable mapping: a full tmpfs then fails with
+    a catchable ``ENOSPC`` instead of a SIGBUS.  Returns the buffer size.
     """
-
-    def __init__(self, workdir, transport: str, generation: str) -> None:
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of "
-                f"{TRANSPORTS}"
-            )
-        self.workdir = workdir
-        self.transport = transport
-        self.generation = generation
-        self.block_names: List[str] = []
-        self.shard_bytes: List[int] = []
-
-    def assemble(self, shard: int, spill_path: str, n: int) -> None:
-        """Lay one shard's spill frames out as its final v3 buffer."""
-        total = shard_nbytes(n)
-        layout = shard_layout(n)
-        if self.transport == "shm":
-            name = block_name(self.workdir.root, self.generation,
-                              f"{shard:04d}")
-            block = _create_block(name, total)
-            target = block.buf
-            self.block_names.append(name)
-        else:
-            path = self.workdir.shard_path(shard)
-            with open(path, "wb") as stream:
-                stream.truncate(max(1, total))
-            handle = open(path, "r+b")
-            m = mmap.mmap(handle.fileno(), max(1, total))
-            target = memoryview(m)
-        self.shard_bytes.append(total)
-        offsets = {
-            "indices": layout["indices"][0],
-            "tids": layout["tids"][0],
-            "target_ids": layout["target_ids"][0],
-            "site_ids": layout["site_ids"][0],
-            "kinds": layout["kinds"][0],
-        }
-        try:
-            with open(spill_path, "rb") as spill:
-                while True:
-                    header = spill.read(_FRAME_HEADER.size)
-                    if not header:
-                        break
-                    (count,) = _FRAME_HEADER.unpack(header)
-                    for segment, width in (
-                        ("indices", 8), ("kinds", 1), ("tids", 8),
-                        ("target_ids", 8), ("site_ids", 8),
-                    ):
-                        chunk = spill.read(width * count)
-                        if len(chunk) != width * count:
-                            raise OSError(
-                                f"truncated spill file {spill_path!r}"
-                            )
-                        offset = offsets[segment]
-                        target[offset:offset + len(chunk)] = chunk
-                        offsets[segment] = offset + len(chunk)
-        finally:
-            if self.transport == "shm":
-                # The creating process keeps the handle (in _OWNED) for
-                # cleanup but drops its mapping: workers map on attach.
-                target = None  # noqa: F841 - drop the exported view
-            else:
-                target.release()
-                m.flush()
-                m.close()
-                handle.close()
-        os.unlink(spill_path)
-
-    def write_intern_block(self, targets: list, sites: list) -> Optional[str]:
-        """Publish the pickled intern tables as a block (shm only); the
-        durable ``intern.bin`` copy is written by the caller either way."""
-        if self.transport != "shm":
-            return None
-        blob = pickle.dumps((targets, sites),
-                            protocol=pickle.HIGHEST_PROTOCOL)
-        name = block_name(self.workdir.root, self.generation, "intern")
-        block = _create_block(name, len(blob))
-        block.buf[: len(blob)] = blob
-        return name
-
-    def abort(self) -> None:
-        """Partitioning failed mid-way: release whatever was created."""
-        release_names(list(self.block_names))
-        intern = block_name(self.workdir.root, self.generation, "intern")
-        release_names([intern])
+    offsets = {name: offset for name, (offset, _) in shard_layout(n).items()}
+    with open(path, "wb") as shard, open(spill_path, "rb") as spill:
+        while True:
+            header = spill.read(_FRAME_HEADER.size)
+            if not header:
+                break
+            (count,) = _FRAME_HEADER.unpack(header)
+            for segment, width in (
+                ("indices", 8), ("kinds", 1), ("tids", 8),
+                ("target_ids", 8), ("site_ids", 8),
+            ):
+                chunk = spill.read(width * count)
+                if len(chunk) != width * count:
+                    raise OSError(f"truncated spill file {spill_path!r}")
+                shard.seek(offsets[segment])
+                shard.write(chunk)
+                offsets[segment] += len(chunk)
+        shard.flush()
+        os.fsync(shard.fileno())
+    os.unlink(spill_path)
+    return shard_nbytes(n)
 
 
 # -- reader side ---------------------------------------------------------------
@@ -374,16 +123,15 @@ class ShardView:
     """A zero-copy view over one shard's v3 buffer.
 
     ``columns()`` returns a :class:`ColumnarTrace` whose columns are
-    ``memoryview`` casts straight into the transport buffer plus the
+    ``memoryview`` casts straight into the mapped shard file plus the
     original-index column — no event is deserialized, no byte is copied
     (the fused kernels' one ``kinds.tobytes()`` aside).  The view keeps
     the mapping alive; call :meth:`close` when analysis is done so pooled
     worker processes do not accumulate mappings and file descriptors.
     """
 
-    def __init__(self, transport: str, n: int, nbytes: int,
-                 base: memoryview, closer) -> None:
-        self.transport = transport
+    def __init__(self, n: int, nbytes: int, base: memoryview,
+                 closer) -> None:
         self.n = n
         self.nbytes = nbytes
         self._base = base
@@ -433,9 +181,9 @@ class ShardView:
 
     def __del__(self):  # noqa: D105 - GC fallback for unpinned views
         # Views pinned on a ColumnarTrace (load_shard_columns) have no
-        # explicit close(); release our casts before the underlying
-        # SharedMemory/mmap finalizers run, or their __del__ would hit
-        # "cannot close: exported pointers exist" at GC time.
+        # explicit close(); release our casts before the mmap's own
+        # finalizer runs, or it would hit "cannot close: exported
+        # pointers exist" at GC time.
         try:
             self.close()
         except Exception:  # pragma: no cover - interpreter shutdown
@@ -443,33 +191,10 @@ class ShardView:
 
 
 def attach_view(workdir, meta: Dict, shard: int) -> ShardView:
-    """Attach one shard's buffer through the transport ``meta`` records."""
-    transport = meta.get("transport", "mmap")
+    """Memory-map one shard's buffer read-only."""
     n = meta["shard_events"][shard]
     total = shard_nbytes(n)
-    if transport == "shm":
-        names = (meta.get("blocks") or {}).get("shards") or []
-        try:
-            name = names[shard]
-        except IndexError:
-            raise FileNotFoundError(
-                f"partition metadata names no shm block for shard {shard}"
-            )
-        block = _attach_untracked(name)
-        if block.size < total:
-            block.close()
-            raise OSError(
-                f"shm block {name!r} is {block.size} bytes; shard {shard} "
-                f"needs {total}"
-            )
-        base = block.buf[:total] if total else block.buf[:0]
-
-        def closer(block=block):
-            block.close()
-
-        return ShardView(transport, n, total, base, closer)
-    path = workdir.shard_path(shard)
-    handle = open(path, "rb")
+    handle = open(workdir.shard_path(shard), "rb")
     if total:
         m = mmap.mmap(handle.fileno(), total, access=mmap.ACCESS_READ)
         base = memoryview(m)
@@ -480,20 +205,14 @@ def attach_view(workdir, meta: Dict, shard: int) -> ShardView:
 
     else:
         base = memoryview(b"")
-
-        def closer(handle=handle):
-            handle.close()
-
-    return ShardView(transport, n, total, base, closer)
+        closer = handle.close
+    return ShardView(n, total, base, closer)
 
 
 def load_intern(workdir, meta: Optional[Dict] = None) -> Tuple[list, list]:
-    """The partition-wide intern tables, cached per process.
-
-    With the shm transport the tables come out of the intern block (no
-    disk read in workers); the mmap transport — and any fallback — reads
-    the durable ``intern.bin``.  The cache key includes the partition
-    generation, so a re-partitioned root is never served stale tables.
+    """The partition-wide intern tables from ``intern.bin``, cached per
+    process.  The cache key includes the partition generation, so a
+    re-partitioned root is never served stale tables.
     """
     if meta is None:
         meta = workdir.read_meta() or {}
@@ -502,20 +221,7 @@ def load_intern(workdir, meta: Optional[Dict] = None) -> Tuple[list, list]:
         cached = _INTERN_CACHE.get(key)
     if cached is not None:
         return cached
-    tables = None
-    blocks = meta.get("blocks") or {}
-    if meta.get("transport") == "shm" and blocks.get("intern"):
-        try:
-            block = _attach_untracked(blocks["intern"])
-        except (OSError, FileNotFoundError):
-            block = None
-        if block is not None:
-            try:
-                tables = pickle.loads(bytes(block.buf))
-            finally:
-                block.close()
-    if tables is None:
-        tables = workdir.read_intern()
+    tables = workdir.read_intern()
     with _INTERN_LOCK:
         _INTERN_CACHE[key] = tables
         # Long-lived pool workers serve many partitions; keep the cache

@@ -9,12 +9,12 @@ same variables (same ``event_index``, same ``prior`` description — the
 per-variable shadow state evolves identically because the sync order is
 complete).
 
-The shard arrives through the v3 zero-copy transport
-(:mod:`repro.engine.transport`): the worker *attaches* the shard's
-shared-memory block or mmap'd buffer and wraps it with ``memoryview``
-casts — no pickle framing, no per-event deserialization, no per-batch
-intern deltas.  Kernel-equipped tools (``repro.kernels.KERNEL_TOOLS``)
-run their fused loop directly over those casts; the generic object path
+The shard arrives as a v3 zero-copy buffer
+(:mod:`repro.engine.transport`): the worker memory-maps the shard's
+file and wraps it with ``memoryview`` casts — no pickle framing, no
+per-event deserialization, no per-batch intern deltas.
+Kernel-equipped tools (``repro.kernels.KERNEL_TOOLS``) run their fused
+loop directly over those casts; the generic object path
 reconstructs ``Event`` objects lazily from the same casts.
 ``kernel='auto'`` (the default) picks the kernel when one exists and
 falls back to the object path otherwise; ``'fused'`` demands one;
@@ -224,7 +224,7 @@ def analyze_shard(
             from repro.detectors.classifier import SharingClassifier
 
             classifier = SharingClassifier()
-        # Attach the shard's transport buffer.  This — plus the cached
+        # Attach the shard's mapped buffer.  This — plus the cached
         # intern load — is the *entire* per-shard transport cost under v3,
         # and the payload times it separately so the stage breakdown in
         # BENCH_engine.json can show the serialization tax is gone.
@@ -308,7 +308,6 @@ def analyze_shard(
         "tool": tool,
         "events": events_seen,
         "kernel": "fused" if use_fused else "generic",
-        "transport": meta.get("transport", "mmap"),
         "warnings": [warning_to_json(w) for w in detector.warnings],
         "suppressed": detector.suppressed_warnings,
         "stats": stats_to_json(detector.stats),

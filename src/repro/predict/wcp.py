@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional
 
 from repro.core.vectorclock import VectorClock
-from repro.detectors.base import VCSyncDetector
+from repro.core.vcsync import VCSyncDetector
 from repro.trace import events as ev
 
 

@@ -23,13 +23,20 @@ lost.
 Resident partitions exist because partitioning is the per-job cost that
 does not parallelize: N tools on one trace, or M resubmissions of the
 same trace, used to re-spool and re-partition N×M times.  Now the first
-job to see a trace digest partitions it once — v3 columnar buffers via
-the **mmap transport**, so the files are durable across restarts and
-every attaching worker shares one page-cache copy — and every later
+job to see a trace digest partitions it once — v3 columnar buffers in
+mmap'd shard files, durable across restarts, with every attaching
+worker sharing one page-cache copy — and every later
 job/tool attaches to the same buffers (``repro_partitions_total``
 counts created vs reused).  A per-key lock serializes creation only;
-analysis runs concurrently.  Live analyses pin their partition against
-the TTL evictor via refcounts.
+analysis runs concurrently.  A job pins its partition against the TTL
+evictor (a refcount) before it reads or creates it, and the evictor
+checks pins and deletes under the same lock, so a partition is never
+swept while a job is building or analyzing it.
+
+Job state changes are whole transitions: the gauges move first, then
+the ``/debug`` in-flight table, and the store write comes last — a
+client that sees a job ``done`` never finds ``/metrics`` or ``/debug``
+still showing it running.
 
 Results use the canonical ``repro.result/1`` schema of
 :mod:`repro.report` — a single-tool job's ``/result`` body is
@@ -416,19 +423,32 @@ class RaceService:
         record = self.store.read(job_id)
         if record is None or record.get("state") not in ("queued", "running"):
             return
+        started = time.time()
         self.m_active.dec(state="queued")
         self.m_active.inc(state="running")
-        started = time.time()
-        self.store.update(job_id, state="running", started=started)
         self._begin_inflight(job_id, record)
-        try:
-            # Every span this runner thread emits — and, through the
-            # engine's propagation context, every span the pool workers
-            # emit for this job — joins the trace the submitter named.
-            with obs.trace_scope(record.get("trace_id")):
-                self._process_traced(job_id, record, started)
-        finally:
-            self._end_inflight(job_id)
+        self.store.update(job_id, state="running", started=started)
+        # Every span this runner thread emits — and, through the engine's
+        # propagation context, every span the pool workers emit for this
+        # job — joins the trace the submitter named.
+        with obs.trace_scope(record.get("trace_id")):
+            self._process_traced(job_id, record, started)
+
+    def _leave_running(self, job_id: str, state: str, **fields) -> None:
+        """Move a running job to ``state`` as one whole transition.
+
+        The gauges move first, then the job leaves the ``/debug``
+        in-flight table, and the store write comes last: a client that
+        sees the new state never finds ``/metrics`` or ``/debug`` still
+        counting the job as running.
+        """
+        self.m_active.dec(state="running")
+        if state == "queued":
+            self.m_active.inc(state="queued")
+        else:
+            self.m_jobs.inc(state=state)
+        self._end_inflight(job_id)
+        self.store.update(job_id, state=state, **fields)
 
     def _process_traced(
         self, job_id: str, record: Dict, started: float
@@ -447,35 +467,29 @@ class RaceService:
                 "job.run", job=job_id, tools=list(record["tools"])
             ):
                 document = self._analyze(job_id, record)
+            self.store.write_result(job_id, document)
         except engine.DrainRequested:
             # Finished shards are checkpointed; hand the job back to the
             # store so the restarted daemon completes it.
-            self.store.update(job_id, state="queued")
-            self.m_active.dec(state="running")
-            self.m_active.inc(state="queued")
+            self._leave_running(job_id, "queued")
             return
         except engine.EngineTimeout as error:
             self._requeue_stuck(job_id, record, error)
             return
         except Exception as error:  # noqa: BLE001 - runners must survive
-            self.store.update(
+            self._leave_running(
                 job_id,
-                state="failed",
+                "failed",
                 finished=time.time(),
                 error=f"{type(error).__name__}: {error}",
             )
-            self.m_active.dec(state="running")
-            self.m_jobs.inc(state="failed")
             obs.log.info(
                 "service.job.failed",
                 f"job {job_id} failed: {type(error).__name__}: {error}",
                 job=job_id,
             )
             return
-        self.store.write_result(job_id, document)
-        self.store.update(job_id, state="done", finished=time.time())
-        self.m_active.dec(state="running")
-        self.m_jobs.inc(state="done")
+        self._leave_running(job_id, "done", finished=time.time())
         obs.log.info(
             "service.job.done", f"job {job_id} done", job=job_id,
         )
@@ -487,9 +501,8 @@ class RaceService:
         stay checkpointed, so the retry only analyzes the rest) at most
         ``max_job_requeues`` times, then fail it explicitly."""
         requeues = int(record.get("requeues") or 0)
-        self.m_active.dec(state="running")
         if requeues < self.config.max_job_requeues:
-            self.store.update(job_id, state="queued", requeues=requeues + 1)
+            self._leave_running(job_id, "queued", requeues=requeues + 1)
             try:
                 # Accepted work bypasses backpressure, like restart
                 # recovery does.
@@ -498,23 +511,21 @@ class RaceService:
                 # Draining: the store says "queued"; the restarted
                 # daemon re-enqueues it.
                 pass
-            self.m_active.inc(state="queued")
             self.m_queue_depth.set(self.queue.depth)
             obs.record_degraded(
                 "job_requeued", job=job_id, requeues=requeues + 1,
                 error=str(error),
             )
             return
-        self.store.update(
+        self._leave_running(
             job_id,
-            state="failed",
+            "failed",
             finished=time.time(),
             error=(
                 f"{type(error).__name__}: {error} "
                 f"(gave up after {requeues} requeue(s))"
             ),
         )
-        self.m_jobs.inc(state="failed")
         obs.log.info(
             "service.job.failed",
             f"job {job_id} failed after {requeues} requeue(s): {error}",
@@ -539,27 +550,40 @@ class RaceService:
             else:
                 self._partition_users.pop(key, None)
 
-    def _pinned_partitions(self) -> set:
-        with self._partition_guard:
-            return set(self._partition_users)
+    def sweep_partitions(self, now: Optional[float] = None) -> List[str]:
+        """Evict resident partitions idle past the TTL; returns the keys.
 
-    def _ensure_partition(self, job_id: str, record: Dict) -> str:
-        """Attach the job to its resident partition, creating it if this
-        trace digest has never been partitioned (or was evicted).
+        Each partition's pin check and delete run under the pin lock, so
+        a job that pins a key (before it builds or reads the partition)
+        and the sweep are serialized: a pinned partition is never
+        deleted, stamped or not.
+        """
+        return self.store.evict_partitions(
+            self._partition_users, self._partition_guard, now=now
+        )
 
-        Creation streams the spooled trace through the v3 partitioner
-        with the **mmap** transport — the buffers must outlive this
-        process for restart recovery, and file-backed mmap lets every
-        concurrent job share one page-cache copy.  Only creation holds
-        the per-key lock; reuse is a metadata read.  Returns the key.
+    def _partition_key(self, job_id: str, record: Dict) -> str:
+        key = record.get("partition")
+        if not key:
+            key = self.store.partition_key(
+                job_id, record["format"], record["shards"]
+            )
+            record["partition"] = key  # exemplars read the live record
+            self.store.update(job_id, partition=key)
+        return key
+
+    def _ensure_partition(self, job_id: str, record: Dict, key: str) -> None:
+        """Attach the job to its resident partition ``key``, creating it
+        if this trace digest has never been partitioned (or was evicted).
+
+        The caller has pinned ``key``.  Creation streams the spooled
+        trace through the v3 partitioner into the store — the shard files
+        must outlive this process for restart recovery, and file-backed
+        mmap lets every concurrent job share one page-cache copy.  Only
+        creation holds the per-key lock; reuse is a metadata read.
         """
         fmt = record["format"]
         shards = record["shards"]
-        key = record.get("partition")
-        if not key:
-            key = self.store.partition_key(job_id, fmt, shards)
-            record["partition"] = key  # exemplars read the live record
-            self.store.update(job_id, partition=key)
         pdir = self.store.partition_dir(key)
         self._set_stage(job_id, "partition")
         with self._partition_lock(key):
@@ -581,12 +605,9 @@ class RaceService:
                 with obs.span(
                     "engine.partition", job=job_id, shards=shards
                 ):
-                    engine.partition_events(
-                        events(), wd, shards, transport="mmap"
-                    )
+                    engine.partition_events(events(), wd, shards)
                 self.m_partitions.inc(outcome="created")
             self.store.touch_partition(key)
-        return key
 
     def _analyze(self, job_id: str, record: Dict) -> Dict:
         tools = record["tools"]
@@ -598,10 +619,13 @@ class RaceService:
             if self.config.job_timeout
             else None
         )
-        key = self._ensure_partition(job_id, record)
+        key = self._partition_key(job_id, record)
         workdir = self.store.partition_dir(key)
+        # Pin before the partition is read or built, so the evictor never
+        # sweeps a directory this job is still creating.
         self._pin_partition(key)
         try:
+            self._ensure_partition(job_id, record, key)
             return self._analyze_tools(
                 job_id, record, tools, fmt, shards, trace_path, workdir,
                 deadline,
@@ -650,7 +674,6 @@ class RaceService:
                 kernel=kernel,
                 executor=self._ensure_executor(),
                 policy=policy,
-                transport="mmap",
             )
             elapsed = time.monotonic() - started
             results[tool] = report.to_json()
@@ -692,7 +715,7 @@ class RaceService:
         interval = max(1.0, self.config.eviction_interval)
         while not self._stop_event.wait(interval):
             self.store.evict_expired()
-            self.store.evict_partitions(self._pinned_partitions())
+            self.sweep_partitions()
 
     # -- read-side accessors -------------------------------------------------
 

@@ -46,7 +46,7 @@ import shutil
 import tempfile
 import threading
 import time
-from typing import Dict, List, Optional, Set
+from typing import Container, Dict, List, Optional
 
 from repro import faults
 
@@ -140,14 +140,17 @@ class JobStore:
 
     def evict_partitions(
         self,
-        in_use: Set[str],
+        in_use: Container[str],
+        guard: threading.Lock,
         now: Optional[float] = None,
     ) -> List[str]:
         """Remove resident partitions idle past the TTL; returns the keys.
 
-        ``in_use`` pins partitions with a live analysis (the daemon
-        passes its refcounted key set) — they are never evicted
-        regardless of stamp age.
+        ``in_use`` pins partitions with a live job — they are never
+        evicted regardless of stamp age.  It is the daemon's live
+        refcount table, and ``guard`` the lock that protects it: each
+        partition's pin check and delete run under ``guard``, so a job
+        pinning a key cannot interleave with its sweep.
         """
         now = time.time() if now is None else now
         evicted: List[str] = []
@@ -156,19 +159,18 @@ class JobStore:
         except OSError:
             return evicted
         for name in names:
-            if name in in_use:
-                continue
             path = os.path.join(self.partitions_dir, name)
-            if not os.path.isdir(path):
-                continue
-            stamp = os.path.join(path, ".last_used")
-            try:
-                last_used = os.stat(stamp).st_mtime
-            except OSError:
-                last_used = 0.0
-            if now - last_used >= self.ttl_seconds:
-                shutil.rmtree(path, ignore_errors=True)
-                evicted.append(name)
+            with guard:
+                if name in in_use or not os.path.isdir(path):
+                    continue
+                stamp = os.path.join(path, ".last_used")
+                try:
+                    last_used = os.stat(stamp).st_mtime
+                except OSError:
+                    last_used = 0.0
+                if now - last_used >= self.ttl_seconds:
+                    shutil.rmtree(path, ignore_errors=True)
+                    evicted.append(name)
         return evicted
 
     # -- lifecycle -----------------------------------------------------------

@@ -177,9 +177,9 @@ class ColumnarTrace:
     ) -> "ColumnarTrace":
         """Wrap zero-copy buffer views (``memoryview`` casts) as columns.
 
-        The engine's v3 shard transport uses this: the columns index
-        straight into a shared-memory block or an mmap'd shard file, so
-        constructing the trace copies nothing.  ``owner`` is whatever
+        The engine's v3 shard buffers use this: the columns index
+        straight into an mmap'd shard file, so constructing the trace
+        copies nothing.  ``owner`` is whatever
         object keeps the underlying mapping alive (the transport's
         :class:`~repro.engine.transport.ShardView`); it is pinned on the
         trace so the buffers outlive every reader.

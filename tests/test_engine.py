@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import tempfile
 
 import pytest
 
@@ -218,6 +219,40 @@ class TestResume:
         )
         assert report.warnings == single.warnings
         assert Workdir(str(tmp_path)).read_meta()["nshards"] == 3
+
+
+class TestScratchRoot:
+    def test_prefers_a_writable_shm_root(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(engine, "SHM_ROOT", str(tmp_path))
+        assert engine.scratch_root() == str(tmp_path)
+
+    def test_falls_back_to_tempdir_when_the_probe_fails(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "SHM_ROOT", str(tmp_path / "missing"))
+        assert engine.scratch_root() == tempfile.gettempdir()
+        monkeypatch.setattr(engine, "SHM_ROOT", str(tmp_path))
+        monkeypatch.setattr(engine.os, "access", lambda *args: False)
+        assert engine.scratch_root() == tempfile.gettempdir()
+
+    def test_owned_run_builds_in_scratch_and_removes_it(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "SHM_ROOT", str(tmp_path))
+        torn_down = []
+        release = Workdir.release_blocks
+
+        def spy(self):
+            torn_down.append((self.root, os.path.exists(self.meta_path)))
+            release(self)
+
+        monkeypatch.setattr(Workdir, "release_blocks", spy)
+        engine.check_events(_racy_trace().events, nshards=2)
+        [(root, partitioned)] = torn_down
+        assert os.path.dirname(root) == str(tmp_path)
+        assert os.path.basename(root).startswith("repro-engine-")
+        assert partitioned
+        assert os.listdir(tmp_path) == []
 
 
 class TestMerge:

@@ -17,7 +17,6 @@ import pytest
 
 from repro import engine
 from repro.detectors import DETECTORS, make_detector
-from repro.engine import transport as shard_transport
 from repro.engine.checkpoint import CheckpointError, Workdir
 from repro.report import dumps_result
 from repro.trace.generators import GeneratorConfig, random_feasible_trace
@@ -177,7 +176,7 @@ def test_cross_shard_site_dedup_matches_single_threaded():
     assert report.suppressed_warnings == single.suppressed_warnings == 1
 
 
-# -- transport equivalence: shm and mmap publish the same bytes ---------------
+# -- workdir equivalence: scratch and caller-provided dirs, same bytes --------
 
 
 def _reference_trace():
@@ -196,39 +195,31 @@ def _reference_trace():
     )
 
 
-_TRANSPORTS = ("mmap",) + (
-    ("shm",) if shard_transport.supports_shm() else ()
-)
-
-
 @pytest.mark.parametrize("nshards", SHARD_COUNTS)
 def test_all_tools_bit_identical_across_transports(tmp_path, nshards):
     """For every registered tool and shard count, the canonical
-    ``repro.result/1`` bytes must not depend on how shard buffers
-    travel — shm blocks and mmap files are views over the same columns.
+    ``repro.result/1`` bytes must not depend on where the shard buffers
+    live: an engine-owned scratch workdir (tmpfs when available, removed
+    on exit) and a caller-provided disk workdir (kept) hold the same
+    columns.
     """
     trace = _reference_trace()
     for tool in DETECTORS:
         kwargs = _tool_kwargs(tool)
-        documents = {}
-        for transport in _TRANSPORTS:
-            workdir = tmp_path / f"{tool}-{nshards}-{transport}"
-            report = engine.check_events(
-                trace.events,
-                tool=tool,
-                nshards=nshards,
-                workdir=str(workdir),
-                tool_kwargs=kwargs,
-                transport=transport,
-            )
-            documents[transport] = dumps_result(report.to_json())
-            assert report.timings is not None
-            assert report.timings["transport"] == transport
-            # Caller-provided workdirs are the caller's to sweep (the
-            # engine only tears down directories it created itself).
-            Workdir(str(workdir)).release_blocks()
-        assert len(set(documents.values())) == 1, (tool, nshards)
-    assert shard_transport.leaked_blocks() == []
+        scratch = engine.check_events(
+            trace.events, tool=tool, nshards=nshards, tool_kwargs=kwargs,
+        )
+        workdir = tmp_path / f"{tool}-{nshards}"
+        disk = engine.check_events(
+            trace.events, tool=tool, nshards=nshards, tool_kwargs=kwargs,
+            workdir=str(workdir),
+        )
+        assert scratch.timings is not None and disk.timings is not None
+        assert dumps_result(scratch.to_json()) == dumps_result(
+            disk.to_json()
+        ), (tool, nshards)
+        # The engine only tears down directories it created itself.
+        assert Workdir(str(workdir)).read_meta()["nshards"] == nshards
 
 
 def test_crash_resume_over_v3_partition(tmp_path):
@@ -246,14 +237,12 @@ def test_crash_resume_over_v3_partition(tmp_path):
             workdir=str(workdir),
             resume=True,
             tool_kwargs=kwargs,
-            transport="mmap",
         )
 
     full = dumps_result(run().to_json())
     wd = Workdir(str(workdir))
     meta = wd.read_meta()
     assert meta is not None and meta["format_version"] == 3
-    assert meta["transport"] == "mmap"
     # Simulate a crash that lost one shard's checkpoint mid-run: the
     # partition and the other three checkpoints survive on disk.
     import os
@@ -283,7 +272,6 @@ def test_v2_workdir_rejected_with_version_error(tmp_path):
             nshards=4,
             workdir=str(workdir),
             resume=True,
-            transport="mmap",
         )
     message = str(exc.value)
     assert "v2" in message and "v3" in message

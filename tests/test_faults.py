@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import cli, faults
+from repro import cli, engine, faults
 from repro.engine.checkpoint import Workdir
 from repro.engine.supervise import RetryPolicy, backoff_delay
 
@@ -304,63 +304,83 @@ def test_all_shards_poisoned_fails_explicitly(tmp_path):
     assert output == ""  # no fabricated result document
 
 
-# -- shm transport lifecycle: /dev/shm must end empty, whatever happens -------
+# -- scratch workdir lifecycle: the scratch root must end empty --------------
 
 
-from repro.engine import transport as shm_transport  # noqa: E402
+@pytest.fixture
+def scratch(tmp_path, monkeypatch):
+    """Point the engine's scratch root at a fresh directory.
 
-needs_shm = pytest.mark.skipif(
-    not shm_transport.supports_shm(),
-    reason="POSIX shared memory is unavailable on this host",
-)
+    Returns ``(root, consulted)``: ``consulted`` counts the engine's
+    lookups, so each test can tell its run really used the root.
+    """
+    root = tmp_path / "scratch"
+    root.mkdir()
+    consulted = []
+
+    def scratch_root():
+        consulted.append(root)
+        return str(root)
+
+    monkeypatch.setattr(engine, "scratch_root", scratch_root)
+    return root, consulted
 
 
-@needs_shm
-def test_shm_clean_run_sweeps_every_block(baseline):
-    # The result bytes are transport-independent, and the engine's
-    # teardown sweep releases every block it published.
-    code, output = _check([TRACE, "--shards", "4", "--transport", "shm",
-                           "--json"])
+def _leftovers(root):
+    return sorted(
+        entry.name for entry in root.iterdir()
+        if entry.name.startswith("repro-engine-")
+    )
+
+
+def test_clean_run_leaves_no_scratch_dir(scratch, baseline):
+    # The result bytes do not depend on where the workdir lives, and the
+    # engine's teardown removes the throwaway workdir it created.
+    root, consulted = scratch
+    code, output = _check([TRACE, "--shards", "4", "--json"])
     assert (code, output) == baseline
-    assert shm_transport.leaked_blocks() == []
+    assert consulted
+    assert _leftovers(root) == []
 
 
-@needs_shm
-def test_shm_kill_storm_leaves_no_blocks(tmp_path, baseline):
+def test_kill_storm_leaves_no_scratch_dir(tmp_path, scratch, baseline):
     # A storm of hard worker exits (os._exit mid-shard, pool rebuilds)
     # plus one permanently poisoned shard: whatever the run's verdict —
-    # healed clean or explicitly degraded — no shard buffer survives in
-    # /dev/shm.  Workers attach *untracked* and the parent owns every
-    # block, so no worker death path can leak one (docs/ENGINE.md).
+    # healed clean or explicitly degraded — no workdir survives.  Workers
+    # only map shard files read-only and the parent owns the directory,
+    # so no worker death path can leak one (docs/ENGINE.md).
+    root, consulted = scratch
     plan = _plan_file(tmp_path, [
         {"point": "worker.crash", "action": "exit",
          "match": {"attempt": 0}, "times": 4},
         {"point": "worker.crash", "match": {"shard": 2}, "times": 99},
     ])
     code, output = _check([
-        TRACE, "--shards", "4", "--jobs", "2", "--transport", "shm",
-        "--json", "--faults", plan,
+        TRACE, "--shards", "4", "--jobs", "2", "--json", "--faults", plan,
     ])
     assert code in (0, 1, 4)  # healed or explicitly degraded, never wedged
     if code == 4 and output:
         assert json.loads(output)["degraded"]["shards_total"] == 4
-    assert shm_transport.leaked_blocks() == []
+    assert consulted
+    assert _leftovers(root) == []
 
 
-@needs_shm
-def test_shm_torn_checkpoint_storm_leaves_no_blocks(tmp_path, baseline):
+def test_torn_checkpoint_storm_leaves_no_scratch_dir(
+    tmp_path, scratch, baseline
+):
     # Torn checkpoints force quarantine-and-recompute churn over live
-    # shm attachments; the sweep still runs on the way out.
+    # shard mappings; the teardown still runs on the way out.
+    root, consulted = scratch
     plan = _plan_file(tmp_path, [
         {"point": "checkpoint.write", "action": "torn",
          "match": {"attempt": 0}, "times": 4},
     ])
     code, output = _check([
-        TRACE, "--shards", "4", "--transport", "shm", "--json",
-        "--faults", plan,
+        TRACE, "--shards", "4", "--json", "--faults", plan,
     ])
     assert (code, output) == baseline
-    assert shm_transport.leaked_blocks() == []
+    assert consulted
+    assert _leftovers(root) == []
 
 
 def test_corrupt_trace_bytes_exit_2(tmp_path, capsys):

@@ -1,13 +1,17 @@
 """Unit tests for the service building blocks: metrics registry, bounded
-job queue, disk job store, and the URL router."""
+job queue, disk job store, resident-partition eviction, and the URL
+router."""
 
+import os
 import threading
 
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
+from repro.service import store as store_module
 from repro.service.queue import JobQueue, QueueClosed, QueueFull
 from repro.service.routes import Router
+from repro.service.server import RaceService, ServiceConfig
 from repro.service.store import JobStore
 
 
@@ -157,6 +161,43 @@ class TestJobStore:
         assert store.read(stale) is None
         assert store.read(fresh) is not None
         assert store.read(active) is not None
+
+
+class TestPartitionEviction:
+    @staticmethod
+    def _service(tmp_path):
+        service = RaceService(
+            ServiceConfig(store_dir=str(tmp_path), ttl_seconds=60.0)
+        )
+        # No .last_used stamp yet: a partition still being built.
+        for key in ("building", "idle"):
+            os.makedirs(service.store.partition_dir(key))
+        return service
+
+    def test_sweep_spares_a_pinned_partition_without_a_stamp(
+        self, tmp_path
+    ):
+        service = self._service(tmp_path)
+        service._pin_partition("building")
+        far_future = 1e12
+        assert service.sweep_partitions(now=far_future) == ["idle"]
+        assert os.path.isdir(service.store.partition_dir("building"))
+        assert not os.path.isdir(service.store.partition_dir("idle"))
+        service._unpin_partition("building")
+        assert service.sweep_partitions(now=far_future) == ["building"]
+
+    def test_sweep_deletes_under_the_pin_lock(self, tmp_path, monkeypatch):
+        service = self._service(tmp_path)
+        held = []
+        rmtree = store_module.shutil.rmtree
+
+        def checked_rmtree(path, **kwargs):
+            held.append(service._partition_guard.locked())
+            rmtree(path, **kwargs)
+
+        monkeypatch.setattr(store_module.shutil, "rmtree", checked_rmtree)
+        assert service.sweep_partitions(now=1e12) == ["building", "idle"]
+        assert held == [True, True]
 
 
 class TestRouter:
