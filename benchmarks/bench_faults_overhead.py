@@ -6,11 +6,13 @@ instrumented hot paths cost <2% throughput when *no plan is installed*
 is the streaming trace reader — ``trace.read`` is polled per line — so
 this benchmark measures text-format parsing in three modes:
 
-* **raw**      — the pre-faults parse loop (strip, skip comments,
-  ``parse_event_parts``) reconstructed locally, the baseline;
-* **disabled** — ``serialize.iter_parse_parts``, whose line numbering
-  hoists one ``faults.active()`` check per stream and pays one boolean
-  test per line;
+* **raw**      — the memoized ingest loop (strip, memo lookup, skip
+  comments, ``parse_event_parts`` on a miss) with plain ``enumerate``
+  line numbering and no injection poll, reconstructed locally: the
+  baseline;
+* **disabled** — ``repro.trace.columnar.iter_parts``, the ingest every
+  reader uses, whose line numbering hoists one ``faults.active()``
+  check per stream;
 * **enabled**  — the same with a plan installed whose ``trace.read``
   spec never matches, to document what an armed-but-quiet plan costs
   (lock + match per line; chaos runs only, never gated).
@@ -33,7 +35,7 @@ import time
 from repro import faults
 from repro.bench.eclipse import import_program
 from repro.runtime.scheduler import run_program
-from repro.trace import serialize
+from repro.trace import columnar, serialize
 
 FAULTS_SCALE = int(os.environ.get("BENCH_FAULTS_SCALE", "4000"))
 ROUNDS = int(os.environ.get("BENCH_FAULTS_ROUNDS", "7"))
@@ -55,31 +57,39 @@ def _trace_lines():
     return serialize.dumps(trace).splitlines()
 
 
-def _iter_parse_parts_baseline(lines):
-    """``iter_parse_parts`` exactly as it existed before the fault
-    layer: inline enumerate, no injection poll."""
+def _iter_parts_baseline(lines):
+    """``columnar.iter_parts`` without the fault layer: inline
+    enumerate, no injection poll, the same bounded per-line memo."""
+    memo = {}
+    lookup = memo.get
     for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            yield serialize.parse_event_parts(line)
-        except serialize.TraceParseError as error:
-            raise serialize.TraceParseError(
-                str(error), lineno=lineno, line=line
-            ) from None
+        parts = lookup(line)
+        if parts is None:
+            if not line or line.startswith("#"):
+                continue
+            try:
+                parts = serialize.parse_event_parts(line)
+            except serialize.TraceParseError as error:
+                raise serialize.TraceParseError(
+                    str(error), lineno=lineno, line=line
+                ) from None
+            if len(memo) >= columnar.MEMO_LINES:
+                memo.clear()
+            memo[line] = parts
+        yield parts
 
 
 def _parse_raw(lines):
     count = 0
-    for _parts in _iter_parse_parts_baseline(lines):
+    for _parts in _iter_parts_baseline(lines):
         count += 1
     return count
 
 
 def _parse_instrumented(lines):
     count = 0
-    for _parts in serialize.iter_parse_parts(lines):
+    for _parts in columnar.iter_parts(lines):
         count += 1
     return count
 
@@ -120,7 +130,7 @@ def test_faults_overhead(faults_bench_recorder):
     enabled_overhead = enabled_best / raw_best - 1.0
     faults_bench_recorder["faults_overhead"] = {
         "workload": "eclipse-import",
-        "path": "serialize.iter_parse_parts",
+        "path": "columnar.iter_parts",
         "events": n,
         "rounds": ROUNDS,
         "cpus": os.cpu_count(),

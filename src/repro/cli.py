@@ -51,18 +51,33 @@ from repro.trace.trace import Trace
 
 
 def _read_trace(path: str, fmt: str) -> Trace:
+    """The whole trace as events, for the commands that need them."""
+    with open(path, "r", encoding="utf-8") as stream:
+        if fmt == "jsonl":
+            return Trace(serialize.iter_load_jsonl(stream))
+        return Trace(serialize.iter_load(stream))
+
+
+def _read_columns(path: str, fmt: str):
+    """The whole trace as columns, through the memoized ingest."""
+    from repro.trace.columnar import ColumnarTrace
+
+    with open(path, "r", encoding="utf-8") as stream:
+        return ColumnarTrace.from_lines(stream, fmt)
+
+
+def _load(args, reader=_read_trace):
+    """``reader(args.trace, args.format)``, or ``None`` after printing the
+    error when the file is missing, unreadable or malformed (the caller
+    then exits 2)."""
     try:
-        with open(path, "r", encoding="utf-8") as stream:
-            text = stream.read()
-    except UnicodeDecodeError as error:
-        # Surface byte rot as a parse error (exit 2 with a pointer into
-        # the file), the same way the streaming readers do.
-        raise serialize.TraceParseError(
-            f"trace is not valid UTF-8 ({error.reason} at byte {error.start})"
-        ) from None
-    if fmt == "jsonl":
-        return serialize.loads_jsonl(text)
-    return serialize.loads(text)
+        return reader(args.trace, args.format)
+    except serialize.TraceParseError as error:
+        _print_parse_error(args.trace, error)
+    except OSError as error:
+        print(f"error: {args.trace}: {error.strerror or error}",
+              file=sys.stderr)
+    return None
 
 
 def _print_parse_error(path: str, error: serialize.TraceParseError) -> None:
@@ -351,35 +366,38 @@ def _cmd_check_single(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        with obs.span("check.read", trace=args.trace) as read_span:
-            trace = _read_trace(args.trace, args.format)
-            read_span.set(events=len(trace))
-    except serialize.TraceParseError as error:
-        _print_parse_error(args.trace, error)
-        return 2
-    except OSError as error:
-        print(f"error: {args.trace}: {error.strerror or error}",
-              file=sys.stderr)
-        return 2
-    violations = check_feasible(trace)
+    with obs.span("check.read", trace=args.trace) as read_span:
+        columns = _load(args, _read_columns)
+        if columns is None:
+            return 2
+        read_span.set(events=len(columns))
+    with obs.span("check.feasibility", events=len(columns)):
+        violations = check_feasible(columns.iter_events())
     if violations:
         print(
             f"warning: trace is not feasible ({violations[0]})",
             file=sys.stderr if args.json else sys.stdout,
         )
     tool_names = list(DETECTORS) if args.all_tools else [args.tool]
-    columns = None
-    if args.kernel != "generic" and any(has_kernel(n) for n in tool_names):
-        from repro.trace.columnar import ColumnarTrace
+    trace = None
 
-        columns = ColumnarTrace.from_events(trace)
+    def events() -> Trace:
+        # Event objects only for the paths that need them: the object
+        # path (``--kernel generic``, kernel-less tools, a kernel fault),
+        # the oracle and the report.
+        nonlocal trace
+        if trace is None:
+            trace = Trace(columns.iter_events())
+        return trace
+
+    use_kernels = args.kernel != "generic"
     classifier = None
     if args.json:
         from repro.detectors.classifier import SharingClassifier
 
-        classifier = SharingClassifier()
-        classifier.process(trace)
+        with obs.span("check.classify", events=len(columns)):
+            classifier = SharingClassifier()
+            classifier.process(columns)
     report_target = None
     if args.all_tools and not args.verbose and not args.json:
         print(f"{'tool':<12s}{'warnings':>9s}")
@@ -388,8 +406,8 @@ def _cmd_check_single(args) -> int:
     for name in tool_names:
         # FastTrack names both sides of the race when sites exist.
         detector = make_detector(name, **default_tool_kwargs(name))
-        with obs.span("check.analyze", tool=name, events=len(trace)):
-            if columns is not None and has_kernel(name):
+        with obs.span("check.analyze", tool=name, events=len(columns)):
+            if use_kernels and has_kernel(name):
                 try:
                     run_kernel(name, columns, detector=detector)
                 except Exception as error:
@@ -401,9 +419,9 @@ def _cmd_check_single(args) -> int:
                     detector = make_detector(
                         name, **default_tool_kwargs(name)
                     )
-                    detector.process(trace)
+                    detector.process(events())
             else:
-                detector.process(trace)
+                detector.process(events())
         obs.record_rules(name, detector.stats)
         if name == args.tool:
             worst = detector.warning_count
@@ -422,7 +440,7 @@ def _cmd_check_single(args) -> int:
         _print_json_results(json_results, args)
     oracle_set = None
     if args.oracle:
-        oracle_set = racy_variables(trace)
+        oracle_set = racy_variables(events())
         rendered = ", ".join(sorted(map(str, oracle_set))) or "none"
         print(
             f"happens-before oracle: racy variables: {rendered}",
@@ -433,7 +451,7 @@ def _cmd_check_single(args) -> int:
 
         fmt = "html" if args.report.endswith(".html") else "markdown"
         text = build_report(
-            trace, report_target, fmt=fmt, oracle_racy=oracle_set
+            events(), report_target, fmt=fmt, oracle_racy=oracle_set
         )
         with open(args.report, "w", encoding="utf-8") as stream:
             stream.write(text)
@@ -613,9 +631,11 @@ def cmd_watch(args) -> int:
 def cmd_classify(args) -> int:
     from repro.detectors.classifier import CLASSES, SharingClassifier
 
-    trace = _read_trace(args.trace, args.format)
+    columns = _load(args, _read_columns)
+    if columns is None:
+        return 2
     tool = SharingClassifier()
-    tool.process(trace)
+    tool.process(columns)
     fractions = tool.fractions()
     print("sharing classification (fraction of accesses):")
     for cls in CLASSES:
@@ -630,7 +650,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_annotate(args) -> int:
-    trace = _read_trace(args.trace, args.format)
+    trace = _load(args)
+    if trace is None:
+        return 2
     clocks = annotate_clocks(trace)
     width = max((len(serialize.format_event(e)) for e in trace), default=10)
     for index, event in enumerate(trace):
@@ -645,13 +667,8 @@ def cmd_predict(args) -> int:
 
     from repro.predict import predict_races
 
-    try:
-        trace = _read_trace(args.trace, args.format)
-    except serialize.TraceParseError as error:
-        _print_parse_error(args.trace, error)
-        return 2
-    except OSError as error:
-        print(f"error: {error}", file=sys.stderr)
+    trace = _load(args)
+    if trace is None:
         return 2
     report = predict_races(trace, window=args.window)
     if args.json:
@@ -719,7 +736,9 @@ def cmd_compose(args) -> int:
             file=sys.stderr,
         )
         return 2
-    trace = _read_trace(args.trace, args.format)
+    trace = _load(args)
+    if trace is None:
+        return 2
     result = compose_chain(prefilters, checker, trace.events)
     print(
         f"{args.chain}: {result.events_passed}/{result.events_in} events "
@@ -735,7 +754,9 @@ def cmd_minimize(args) -> int:
     from repro.trace.minimize import minimize_trace
     from repro.trace.serialize import parse_target
 
-    trace = _read_trace(args.trace, args.format)
+    trace = _load(args)
+    if trace is None:
+        return 2
     var = parse_target(args.var) if args.var is not None else None
     try:
         witness = minimize_trace(trace, var=var)

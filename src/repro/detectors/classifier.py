@@ -19,15 +19,40 @@ The classifier runs a full FastTrack instance for the race verdict (so
 ``racy`` is precise), plus Eraser-style lockset refinement and accessor
 bookkeeping for the other classes.  ``fractions()`` weights classes by
 access count, which is the quantity the paper's fast-path argument needs.
+
+:meth:`SharingClassifier.process` is columnar: the inner FastTrack runs
+through its fused kernel, then one pass over the kind/tid/target columns
+builds every profile.  The per-event :meth:`~Detector.handle` path
+(``on_*`` below) stays as the reference it must match field for field
+(``tests/test_classifier.py``).
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Dict, FrozenSet, Hashable, Optional, Set
 
-from repro.core.detector import Detector
+from repro.core.detector import Detector, fine_grain
 from repro.core.fasttrack import FastTrack
+from repro.kernels import fasttrack as fasttrack_kernel
+from repro.kernels._slots import slot_map
 from repro.trace import events as ev
+from repro.trace.columnar import ColumnarTrace
+
+#: Event kinds the per-event path never forwards to the inner FastTrack
+#: (they have no ``on_*`` handler here), as a ``bytes.translate`` table
+#: mapping every kind to 1 when forwarded and 0 when not.
+_FORWARDED = bytes(
+    0 if kind in (
+        ev.ENTER, ev.EXIT, ev.TASK_SPAWN, ev.TASK_AWAIT,
+        ev.FINISH_BEGIN, ev.FINISH_END,
+    ) else 1
+    for kind in range(256)
+)
+
+#: The inner FastTrack's event-mix tallies: ``handle`` never fills them,
+#: so the columnar run restores them after the kernel's bulk tally.
+_MIX_FIELDS = ("events", "reads", "writes", "syncs", "boundaries")
 
 THREAD_LOCAL = "thread-local"
 LOCK_PROTECTED = "lock-protected"
@@ -68,6 +93,137 @@ class SharingClassifier(Detector):
         self.fasttrack = FastTrack(shadow_key=self.shadow_key)
         self.profiles: Dict[Hashable, _VarProfile] = {}
         self.held: Dict[int, Set[Hashable]] = {}
+
+    # -- the columnar pass -----------------------------------------------------
+
+    def process(self, trace) -> "SharingClassifier":
+        """Classify a whole trace: a :class:`ColumnarTrace` (or engine
+        shard columns) directly, any other event iterable after building
+        its columns.
+
+        Equal, field for field, to feeding every event through
+        :meth:`handle`: the inner FastTrack's warnings, stats and shadow
+        state, and every profile (in first-access order, locksets holding
+        lock targets).  A classifier that has already seen events keeps
+        that per-event path.
+        """
+        if self._index != -1 or self.profiles or self.held:
+            return super().process(trace)
+        col = (
+            trace
+            if isinstance(trace, ColumnarTrace)
+            else ColumnarTrace.from_events(trace)
+        )
+        n = len(col)
+        kb = col.kinds.tobytes()
+        self._run_fasttrack(col, kb)
+        self._build_profiles(col, kb)
+        stats = self.stats
+        reads = kb.count(ev.READ)
+        writes = kb.count(ev.WRITE)
+        boundaries = kb.count(ev.ENTER) + kb.count(ev.EXIT)
+        stats.events += n
+        stats.reads += reads
+        stats.writes += writes
+        stats.syncs += n - reads - writes - boundaries
+        stats.boundaries += boundaries
+        self._index += n
+        return self
+
+    def _run_fasttrack(self, col, kb: bytes) -> None:
+        """The race verdict: the fused FastTrack kernel over ``col``,
+        stamped with the indices the per-event path would give (it skips
+        the kinds it does not forward)."""
+        fasttrack = self.fasttrack
+        flags = kb.translate(_FORWARDED)
+        indices = None
+        if flags.count(0):
+            indices = list(accumulate(flags, initial=-1))
+            del indices[0]
+        stats = fasttrack.stats
+        mix = [getattr(stats, name) for name in _MIX_FIELDS]
+        # Called directly, not through ``run_kernel``: this pass is part of
+        # the classifier, not a run of the checked tool's kernel.
+        fasttrack_kernel.run(fasttrack, col, indices)
+        for name, value in zip(_MIX_FIELDS, mix):
+            setattr(stats, name, value)
+
+    def _build_profiles(self, col, kb: bytes) -> None:
+        """One pass over the kind/tid/target columns: accessors, writers,
+        candidate locksets (as lock target ids until the end) and the
+        read-sharing flags of every variable."""
+        targets = col.targets
+        ident = self.shadow_key is fine_grain
+        if ident:
+            keys = targets
+        else:
+            slots, keys = slot_map(targets, self.shadow_key)
+        profiles = [None] * len(keys)
+        order = []  # slots in first-access order
+        held: Dict[int, Set[int]] = {}
+        # Per-thread frozen copy of ``held``, dropped on every change.
+        frozen: Dict[int, FrozenSet[int]] = {}
+        new_profile = _VarProfile
+        READ = ev.READ
+        ACQUIRE = ev.ACQUIRE
+        RELEASE = ev.RELEASE
+        for kind, tid, target_id in zip(kb, col.tids, col.target_ids):
+            if kind > RELEASE:
+                continue
+            if kind == ACQUIRE or kind == RELEASE:
+                locks = held.get(tid)
+                if locks is None:
+                    locks = held[tid] = set()
+                if kind == ACQUIRE:
+                    locks.add(target_id)
+                else:
+                    locks.discard(target_id)
+                frozen.pop(tid, None)
+                continue
+            slot = target_id if ident else slots[target_id]
+            profile = profiles[slot]
+            if profile is None:
+                profile = profiles[slot] = new_profile()
+                order.append(slot)
+            profile.accesses += 1
+            accessors = profile.accessors
+            if accessors and (tid not in accessors or len(accessors) > 1):
+                locks = frozen.get(tid)
+                if locks is None:
+                    mine = held.get(tid)
+                    if mine is None:
+                        mine = held[tid] = set()
+                    locks = frozen[tid] = frozenset(mine)
+                lockset = profile.lockset
+                profile.lockset = (
+                    locks if lockset is None else lockset & locks
+                )
+            writers = profile.writers
+            if kind == READ:
+                if writers and tid not in writers:
+                    profile.foreign_read_seen = True
+            else:
+                if profile.foreign_read_seen:
+                    profile.write_after_share = True
+                writers.add(tid)
+            accessors.add(tid)
+        # Lock target ids back to lock targets (shared sets convert once).
+        converted: Dict[FrozenSet[int], FrozenSet[Hashable]] = {}
+        for slot in order:
+            profile = profiles[slot]
+            lockset = profile.lockset
+            if lockset is not None:
+                named = converted.get(lockset)
+                if named is None:
+                    named = converted[lockset] = frozenset(
+                        targets[lock] for lock in lockset
+                    )
+                profile.lockset = named
+        self.profiles = {keys[slot]: profiles[slot] for slot in order}
+        self.held = {
+            tid: {targets[lock] for lock in locks}
+            for tid, locks in held.items()
+        }
 
     # -- bookkeeping -----------------------------------------------------------
 

@@ -45,7 +45,7 @@ import os
 import signal
 import tempfile
 import time
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Union
 
 from repro import obs
 
@@ -83,7 +83,7 @@ from repro.engine.worker import (
     run_shard,
 )
 from repro.trace import events as ev
-from repro.trace import serialize
+from repro.trace.columnar import TraceRows
 
 __all__ = [
     "CheckpointError",
@@ -203,7 +203,7 @@ def _run_pending(
 
 
 def _run(
-    events_factory: Callable[[], Iterator[ev.Event]],
+    events_factory: Callable[[], Union[Iterator[ev.Event], TraceRows]],
     tool: str,
     nshards: Optional[int],
     jobs: int,
@@ -419,21 +419,15 @@ def check_trace_file(
 ) -> MergedReport:
     """Shard-check a serialized trace file, streaming it during partition.
 
-    The file is read through :func:`repro.trace.serialize.iter_load` (or
-    ``iter_load_jsonl``), so the full event list is never materialized; a
-    resumed run whose partition already exists does not read it at all.
-    ``executor`` lends the run a persistent pool (see :func:`check_events`).
+    The file is read through the memoized ingest
+    (:meth:`repro.trace.columnar.TraceRows.from_file`), so the full event
+    list is never materialized; a resumed run whose partition already
+    exists does not read it at all.  ``executor`` lends the run a
+    persistent pool (see :func:`check_events`).
     """
 
-    def events_factory() -> Iterator[ev.Event]:
-        def generate() -> Iterator[ev.Event]:
-            with open(path, "r", encoding="utf-8") as stream:
-                if fmt == "jsonl":
-                    yield from serialize.iter_load_jsonl(stream)
-                else:
-                    yield from serialize.iter_load(stream)
-
-        return generate()
+    def events_factory() -> TraceRows:
+        return TraceRows.from_file(path, fmt)
 
     return _run(
         events_factory,

@@ -25,8 +25,10 @@ one contiguous buffer per shard, written to ``shards/shard_NNNN.bin``.
 Workers *attach* instead of deserializing: ``memoryview`` casts over the
 mapped file feed the fused kernels directly, so the per-event transport
 cost is zero regardless of worker count.  Targets and sites are interned
-once into partition-wide tables (persisted to ``intern.bin``) — shard
-columns carry dense ids only, never per-batch intern deltas.
+once, by the ingest that reads the trace
+(:class:`repro.trace.columnar.TraceRows`), into partition-wide tables
+(persisted to ``intern.bin``) — shard columns carry dense ids only, never
+per-batch intern deltas.
 
 Streaming stays bounded-memory: events accumulate in per-shard batches
 (:data:`BATCH_EVENTS`) that spill to scratch files, and the final buffers
@@ -43,12 +45,12 @@ import os
 import struct
 import zlib
 from array import array
-from typing import Dict, Hashable, Iterable, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
 
 from repro.engine import transport as _transport
 from repro.engine.checkpoint import Workdir
 from repro.trace import events as ev
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace, TraceRows
 
 #: Events appended to a batch before it spills to scratch (bounds memory).
 BATCH_EVENTS = 8192
@@ -64,16 +66,20 @@ def shard_of(target: Hashable, nshards: int) -> int:
 
 
 def partition_events(
-    events: Iterable[ev.Event],
+    events: Union[Iterable[ev.Event], TraceRows],
     workdir: Workdir,
     nshards: int,
     batch_events: int = BATCH_EVENTS,
 ) -> Dict:
     """Stream ``events`` into ``nshards`` v3 columnar shard buffers.
 
-    Targets and sites are interned into partition-wide tables (written to
-    ``intern.bin`` before the metadata), so every shard's columns index
-    the same tables and workers can share one loaded copy.  Returns the
+    ``events`` is either the ingest's :class:`TraceRows` (a trace file
+    read through the memoized ingest) or any one-shot iterable of
+    :class:`Event` objects, which is interned into rows on the fly.  The
+    loop routes rows only: it never interns, because the rows' intern
+    tables already are the partition-wide tables and are written to
+    ``intern.bin`` before the metadata, so every shard's columns index the
+    same tables and workers can share one loaded copy.  Returns the
     partition metadata (also persisted as ``meta.json``; its write is the
     last step, so a half-partitioned directory is recognizably incomplete
     and gets re-partitioned on resume).  The ``generation`` token in the
@@ -82,16 +88,19 @@ def partition_events(
     """
     if nshards < 1:
         raise ValueError(f"nshards must be >= 1, got {nshards}")
+    rows = (
+        events if isinstance(events, TraceRows)
+        else TraceRows.from_events(events)
+    )
+    targets = rows.targets
     generation = os.urandom(4).hex()
     spill_paths = [workdir.shard_path(s) + ".spill" for s in range(nshards)]
     streams = [open(path, "wb") for path in spill_paths]
     batches = [([], [], [], [], []) for _ in range(nshards)]
     shard_events = [0] * nshards
     total = reads = writes = 0
-    targets: list = []
-    sites: list = []
-    target_index: Dict[Hashable, int] = {}
-    site_index: Dict[Hashable, int] = {}
+    # Shard of each interned target id (-1 until an access reaches it).
+    shard_of_target: list = []
 
     def flush(shard: int) -> None:
         b_idx, b_kind, b_tid, b_target, b_site = batches[shard]
@@ -120,26 +129,17 @@ def partition_events(
 
     try:
         try:
-            for index, event in enumerate(events):
-                kind = event.kind
-                target = event.target
-                target_id = target_index.get(target)
-                if target_id is None:
-                    target_id = len(targets)
-                    target_index[target] = target_id
-                    targets.append(target)
-                site = event.site
-                if site is None:
-                    site_id = -1
-                else:
-                    site_id = site_index.get(site)
-                    if site_id is None:
-                        site_id = len(sites)
-                        site_index[site] = site_id
-                        sites.append(site)
+            for index, (kind, tid, target_id, site_id) in enumerate(rows):
                 if kind in _ACCESS_KINDS:
-                    shard = shard_of(target, nshards)
-                    append(shard, index, kind, event.tid, target_id, site_id)
+                    if target_id >= len(shard_of_target):
+                        shard_of_target.extend(
+                            [-1] * (len(targets) - len(shard_of_target))
+                        )
+                    shard = shard_of_target[target_id]
+                    if shard < 0:
+                        shard = shard_of(targets[target_id], nshards)
+                        shard_of_target[target_id] = shard
+                    append(shard, index, kind, tid, target_id, site_id)
                     if kind == ev.READ:
                         reads += 1
                     else:
@@ -148,8 +148,7 @@ def partition_events(
                     # Sync / boundary event: every shard needs the full
                     # synchronization order to keep its vector clocks exact.
                     for shard in range(nshards):
-                        append(shard, index, kind, event.tid,
-                               target_id, site_id)
+                        append(shard, index, kind, tid, target_id, site_id)
                 total += 1
             for shard in range(nshards):
                 flush(shard)
@@ -163,7 +162,7 @@ def partition_events(
             )
             for shard in range(nshards)
         ]
-        workdir.write_intern(targets, sites)
+        workdir.write_intern(targets, rows.sites)
     except BaseException:
         for path in spill_paths:
             if os.path.exists(path):
@@ -177,7 +176,7 @@ def partition_events(
         "other": total - reads - writes,
         "shard_events": shard_events,
         "targets": len(targets),
-        "sites": len(sites),
+        "sites": len(rows.sites),
         "generation": generation,
         "shard_bytes": shard_bytes,
     }

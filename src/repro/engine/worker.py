@@ -258,13 +258,6 @@ def analyze_shard(
                         )
                         detector = make_detector(tool, **(tool_kwargs or {}))
                         use_fused = False
-                    else:
-                        if classifier is not None:
-                            # The classifier has no fused form; replay the
-                            # shard's events for it alone (the detector's
-                            # pass stays columnar).
-                            for event in columns.iter_events():
-                                classifier.handle(event)
                 if not use_fused:
                     kind_counts: Dict[int, int] = {}
                     handle = detector.handle
@@ -281,10 +274,10 @@ def analyze_shard(
                             sites[site_id] if site_id >= 0 else None,
                         )
                         handle(event, index=index)
-                        if classifier is not None:
-                            classifier.handle(event)
                         kind_counts[kind] = kind_counts.get(kind, 0) + 1
                     _tally_kinds(detector.stats, kind_counts)
+                if classifier is not None:
+                    classifier.process(columns)
                 kspan.set(
                     events=events_seen,
                     kernel="fused" if use_fused else "generic",

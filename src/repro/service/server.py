@@ -71,13 +71,8 @@ from repro.service.debug import debug_snapshot, render_html
 from repro.service.queue import JobQueue, QueueClosed, QueueFull
 from repro.service.routes import Router
 from repro.service.store import JobStore
-from repro.trace.serialize import (
-    TraceParseError,
-    dumps_jsonl,
-    event_from_json,
-    iter_load,
-    iter_load_jsonl,
-)
+from repro.trace.columnar import TraceRows
+from repro.trace.serialize import TraceParseError, dumps_jsonl, event_from_json
 
 #: Upload formats the daemon accepts, and the content types that imply them.
 TRACE_FORMATS = ("text", "jsonl")
@@ -593,19 +588,13 @@ class RaceService:
                 self.m_partitions.inc(outcome="reused")
             else:
                 os.makedirs(pdir, exist_ok=True)
-
-                def events():
-                    trace = self.store.trace_path(job_id, fmt)
-                    with open(trace, "r", encoding="utf-8") as stream:
-                        if fmt == "jsonl":
-                            yield from iter_load_jsonl(stream)
-                        else:
-                            yield from iter_load(stream)
-
+                rows = TraceRows.from_file(
+                    self.store.trace_path(job_id, fmt), fmt
+                )
                 with obs.span(
                     "engine.partition", job=job_id, shards=shards
                 ):
-                    engine.partition_events(events(), wd, shards)
+                    engine.partition_events(rows, wd, shards)
                 self.m_partitions.inc(outcome="created")
             self.store.touch_partition(key)
 
@@ -915,7 +904,7 @@ def h_submit(handler: "_Handler", service: RaceService,
         # The streaming path: the body (chunked or sized) is spooled to
         # the job directory in fixed-size pieces — an arbitrarily large
         # trace never materializes in daemon memory, and the engine's
-        # iter_load/iter_load_jsonl readers stream it from disk.
+        # ingest streams it from disk.
         fmt = fmt or _CONTENT_TYPE_FORMATS.get(content_type, "text")
         spec = service.build_spec(
             tools or ["FastTrack"], shards, kernel or "auto", fmt

@@ -17,11 +17,18 @@ dense shadow tables instead of chasing attributes and dicts:
 
 Interning gives every distinct variable/lock/thread-target a small dense
 integer, which is what lets the kernels replace ``self.vars`` dict lookups
-with list indexing.  The builders stream: :meth:`ColumnarTrace.from_events`
-consumes any one-shot iterable one event at a time, and
-:meth:`from_text_lines` / :meth:`from_jsonl_lines` parse serialized traces
-through :func:`repro.trace.serialize.iter_parse_parts` without constructing
-``Event`` objects at all.  :meth:`to_events` reconstructs the exact event
+with list indexing.
+
+This module also holds the repo's one ingest: serialized text/JSONL
+lines become interned ``(kind, tid, target_id, site_id)`` rows
+(:class:`TraceRows`) through a bounded per-line parse memo
+(:data:`MEMO_LINES`).  :meth:`ColumnarTrace.from_lines` collects the rows
+into columns, the engine's partitioner routes them to shards, and
+:func:`repro.trace.serialize.iter_parse` builds ``Event`` objects from
+the memoized parts (:func:`iter_parts`).  The builders stream:
+:meth:`ColumnarTrace.from_events` consumes any one-shot iterable one event
+at a time, and :meth:`from_lines` never constructs ``Event`` objects at
+all.  :meth:`to_events` reconstructs the exact event
 sequence (same kinds, tids, targets, and sites), so the representation is
 lossless — the round-trip tests in ``tests/test_columnar.py`` enforce it
 over the golden corpus.
@@ -29,8 +36,18 @@ over the golden corpus.
 
 from __future__ import annotations
 
+import json
 from array import array
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, TextIO
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple,
+)
 
 from repro.trace import events as ev
 from repro.trace import serialize
@@ -96,48 +113,40 @@ class ColumnarTrace:
         self.target_ids.append(target_id)
         self.site_ids.append(site_id)
 
-    def append_event(self, event: ev.Event) -> None:
-        self.append(event.kind, event.tid, event.target, event.site)
+    @classmethod
+    def from_rows(cls, rows: "TraceRows") -> "ColumnarTrace":
+        """Collect an ingest's interned rows into columns; the trace adopts
+        the ingest's intern tables as its own."""
+        trace = cls()
+        kinds = trace.kinds.append
+        tids = trace.tids.append
+        target_ids = trace.target_ids.append
+        site_ids = trace.site_ids.append
+        for kind, tid, target_id, site_id in rows:
+            kinds(kind)
+            tids(tid)
+            target_ids(target_id)
+            site_ids(site_id)
+        trace.targets = rows.targets
+        trace.sites = rows.sites
+        trace._target_index = rows.target_index
+        trace._site_index = rows.site_index
+        trace._max_tid = max(trace.tids, default=-1)
+        return trace
 
     @classmethod
     def from_events(cls, events: Iterable[ev.Event]) -> "ColumnarTrace":
         """Build columns from any (one-shot) iterable of events, streaming."""
-        trace = cls()
-        append = trace.append
-        for event in events:
-            append(event.kind, event.tid, event.target, event.site)
-        return trace
+        return cls.from_rows(TraceRows.from_events(events))
 
     @classmethod
-    def from_parts(
-        cls, parts: Iterable[tuple]
+    def from_lines(
+        cls, lines: Iterable[str], fmt: str = "text"
     ) -> "ColumnarTrace":
-        """Build columns from ``(kind, tid, target, site)`` tuples."""
-        trace = cls()
-        append = trace.append
-        for kind, tid, target, site in parts:
-            append(kind, tid, target, site)
-        return trace
-
-    @classmethod
-    def from_text_lines(cls, lines: Iterable[str]) -> "ColumnarTrace":
-        """Stream-parse the text format straight into columns (no
-        :class:`Event` objects are ever constructed)."""
-        return cls.from_parts(serialize.iter_parse_parts(lines))
-
-    @classmethod
-    def from_jsonl_lines(cls, lines: Iterable[str]) -> "ColumnarTrace":
-        """Stream-parse JSON lines straight into columns."""
-        return cls.from_parts(serialize.iter_parse_parts_jsonl(lines))
-
-    @classmethod
-    def from_file(
-        cls, stream: TextIO, fmt: str = "text"
-    ) -> "ColumnarTrace":
-        """Stream-parse an open serialized trace file."""
-        if fmt == "jsonl":
-            return cls.from_jsonl_lines(stream)
-        return cls.from_text_lines(stream)
+        """Stream-parse serialized trace lines (an open file or any
+        iterable of lines) straight into columns through the memoized
+        ingest; no :class:`Event` objects are ever constructed."""
+        return cls.from_rows(TraceRows.from_lines(lines, fmt))
 
     @classmethod
     def from_columns(
@@ -265,3 +274,149 @@ class ColumnarTrace:
             f"ColumnarTrace({len(self.kinds)} events, "
             f"{len(self.targets)} targets, {len(self.sites)} sites)"
         )
+
+
+# -- the ingest ----------------------------------------------------------------
+
+#: Distinct stripped lines the per-line parse memo holds before it is
+#: cleared and refilled.  Real traces repeat most lines (a loop body's
+#: accesses recur verbatim: 76% of eclipse-import's lines are repeats), so
+#: a hit skips the regex parse *and* the target/site interning.  The cap
+#: bounds the memo's memory; 16,384 lines keep nearly all of the unbounded
+#: memo's hit rate on the perfbench traces.
+MEMO_LINES = 16384
+
+Row = Tuple[int, int, int, int]
+
+
+def _memoized(
+    lines: Iterable[str], fmt: str, encode: Callable[[tuple], tuple]
+) -> Iterator[tuple]:
+    """The one streaming ingest: serialized lines → ``encode(parts)``.
+
+    ``parts`` is a line's ``(kind, tid, target, site)``; a line seen
+    before (compared after stripping) yields the value memoized for it
+    instead of being parsed again.  Text-format comment and blank lines
+    are skipped; JSONL skips blank lines and stops cleanly at an
+    unterminated, unparseable final line (a producer's write in flight —
+    see :func:`repro.trace.serialize.iter_parse_jsonl`).  Lines are drawn
+    through :func:`repro.trace.serialize._numbered_lines`, so fault plans
+    and mid-stream decode errors behave as in every other reader, and a
+    bad line raises :class:`~repro.trace.serialize.TraceParseError` with
+    its 1-based number and text however many repeats or memo clears
+    preceded it.
+    """
+    jsonl = fmt == "jsonl"
+    parse_text = serialize.parse_event_parts
+    parse_record = serialize.event_parts_from_json
+    TraceParseError = serialize.TraceParseError
+    memo: Dict[str, tuple] = {}
+    lookup = memo.get
+    for lineno, raw_line in serialize._numbered_lines(lines):
+        line = raw_line.strip()
+        value = lookup(line)
+        if value is None:
+            if not line:
+                continue
+            try:
+                if not jsonl:
+                    if line[0] == "#":
+                        continue
+                    parts = parse_text(line)
+                else:
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as error:
+                        if not raw_line.endswith(("\n", "\r")):
+                            return
+                        raise TraceParseError(f"invalid JSON ({error.msg})")
+                    parts = parse_record(record)
+            except TraceParseError as error:
+                raise TraceParseError(
+                    str(error), lineno=lineno, line=line
+                ) from None
+            value = encode(parts)
+            if len(memo) >= MEMO_LINES:
+                memo.clear()
+            memo[line] = value
+        yield value
+
+
+def _same(parts: tuple) -> tuple:
+    return parts
+
+
+def iter_parts(
+    lines: Iterable[str], fmt: str = "text"
+) -> Iterator[Tuple[int, int, Hashable, Optional[Hashable]]]:
+    """Stream-parse lines to ``(kind, tid, target, site)`` tuples through
+    the memoized ingest (repeated lines share one tuple)."""
+    return _memoized(lines, fmt, _same)
+
+
+class TraceRows:
+    """A one-shot stream of interned ``(kind, tid, target_id, site_id)``
+    rows, plus the intern tables the ids index.
+
+    The tables fill while the stream is consumed, in first-occurrence
+    order (each row's target before its site), so they are complete once
+    iteration ends.  :meth:`ColumnarTrace.from_rows` collects rows into
+    columns; the engine's partitioner routes them to shards and persists
+    the tables as ``intern.bin``.
+    """
+
+    __slots__ = ("targets", "sites", "target_index", "site_index", "_rows")
+
+    def __init__(self) -> None:
+        self.targets: List[Hashable] = []
+        self.sites: List[Hashable] = []
+        self.target_index: Dict[Hashable, int] = {}
+        self.site_index: Dict[Hashable, int] = {}
+        self._rows: Iterator[Row] = iter(())
+
+    @classmethod
+    def from_lines(cls, lines: Iterable[str], fmt: str = "text") -> "TraceRows":
+        """Rows of serialized trace lines, parsed through the memo."""
+        rows = cls()
+        rows._rows = _memoized(lines, fmt, rows._intern)
+        return rows
+
+    @classmethod
+    def from_file(cls, path: str, fmt: str = "text") -> "TraceRows":
+        """Rows of a trace file, opened (UTF-8) when iteration starts and
+        closed when it ends."""
+
+        def lines() -> Iterator[str]:
+            with open(path, "r", encoding="utf-8") as stream:
+                yield from stream
+
+        return cls.from_lines(lines(), fmt)
+
+    @classmethod
+    def from_events(cls, events: Iterable[ev.Event]) -> "TraceRows":
+        """Rows of an in-memory (or one-shot) event stream."""
+        rows = cls()
+        rows._rows = rows._intern_events(events)
+        return rows
+
+    def __iter__(self) -> Iterator[Row]:
+        return self._rows
+
+    def _intern(self, parts: tuple) -> Row:
+        kind, tid, target, site = parts
+        target_id = self.target_index.get(target)
+        if target_id is None:
+            target_id = self.target_index[target] = len(self.targets)
+            self.targets.append(target)
+        if site is None:
+            return kind, tid, target_id, -1
+        site_id = self.site_index.get(site)
+        if site_id is None:
+            site_id = self.site_index[site] = len(self.sites)
+            self.sites.append(site)
+        return kind, tid, target_id, site_id
+
+    def _intern_events(self, events: Iterable[ev.Event]) -> Iterator[Row]:
+        intern = self._intern
+        for event in events:
+            yield intern((event.kind, event.tid, event.target, event.site))

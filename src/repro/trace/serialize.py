@@ -68,6 +68,7 @@ _LINE = re.compile(
     r"^(?P<op>\w+)\s*\(\s*(?P<args>[^)]*)\s*\)\s*(?:@\s*(?P<site>\S+))?$"
 )
 _TARGET = re.compile(r"^(?P<base>[^\[\]]+)(?P<indices>(\[[^\[\]]+\])*)$")
+_INDEX = re.compile(r"\[([^\[\]]+)\]")
 
 
 class TraceParseError(ValueError):
@@ -115,12 +116,14 @@ def parse_target(text: str) -> Hashable:
     indices_text = match.group("indices")
     if not indices_text:
         return base
-    indices = re.findall(r"\[([^\[\]]+)\]", indices_text)
+    indices = _INDEX.findall(indices_text)
     return tuple([base] + [_coerce(part.strip()) for part in indices])
 
 
 def _coerce(token: str) -> Union[int, str]:
-    if re.fullmatch(r"-?\d+", token):
+    # ``-?\d+`` without the regex: ``\d`` is exactly ``str.isdecimal``.
+    digits = token[1:] if token[:1] == "-" else token
+    if digits.isdecimal():
         return int(token)
     return token
 
@@ -146,9 +149,9 @@ def format_event(event: ev.Event) -> str:
 def parse_event_parts(line: str) -> Tuple[int, int, Hashable, Optional[str]]:
     """Parse one text-format line to ``(kind, tid, target, site)``.
 
-    This is the allocation-light core of :func:`parse_event`: the columnar
-    ingest path (:meth:`repro.trace.columnar.ColumnarTrace.from_text_lines`)
-    appends these fields straight into its columns without ever building an
+    This is the allocation-light core of :func:`parse_event`: the memoized
+    ingest of :mod:`repro.trace.columnar` interns these fields straight
+    into columns without ever building an
     :class:`~repro.trace.events.Event`.
     """
     match = _LINE.match(line.strip())
@@ -241,43 +244,6 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
         yield lineno, raw_line
 
 
-def _flagged_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str, bool]]:
-    """Number a line stream and flag the unterminated tail.
-
-    Yields ``(lineno, raw_line, is_unterminated_tail)`` where the flag is
-    True only when the line lacks a newline terminator — the signature of
-    a line still being written by a live producer.  In any real line
-    stream only the *final* line can be unterminated, so the flag never
-    needs lookahead: holding a line back to learn whether another follows
-    would delay every event by one line, which for a live monitor means
-    a warning whose racy access is the newest line written would not
-    fire until the producer wrote something else.  Callers must keep
-    terminators (all the file parsers and :class:`repro.watch` readers
-    do; ``str.splitlines()`` without ``keepends`` would mark every line
-    as a tolerated tail).
-    """
-    for lineno, raw_line in _numbered_lines(lines):
-        yield lineno, raw_line, not raw_line.endswith(("\n", "\r"))
-
-
-def iter_parse_parts(
-    lines: Iterable[str],
-) -> Iterator[Tuple[int, int, Hashable, Optional[str]]]:
-    """Stream-parse the text format to ``(kind, tid, target, site)`` tuples.
-
-    The event-free twin of :func:`iter_parse`: comments and blank lines are
-    skipped, and errors carry the 1-based line number and offending text.
-    """
-    for lineno, raw_line in _numbered_lines(lines):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            yield parse_event_parts(line)
-        except TraceParseError as error:
-            raise TraceParseError(str(error), lineno=lineno, line=line) from None
-
-
 def dumps(trace: Iterable[ev.Event]) -> str:
     """Serialize a trace to the text format."""
     return "\n".join(format_event(event) for event in trace) + "\n"
@@ -287,18 +253,17 @@ def iter_parse(lines: Iterable[str]) -> Iterator[ev.Event]:
     """Stream-parse the text format, one event at a time.
 
     Comments and blank lines are skipped.  Parse failures re-raise with the
-    1-based line number and offending text attached.  This is the streaming
-    entry point the sharded engine uses: it never materializes the full
-    event list, so traces larger than memory can be partitioned.
+    1-based line number and offending text attached.  The full event list
+    is never materialized, so traces larger than memory stream through.
+    Lines go through the memoized ingest of :mod:`repro.trace.columnar`:
+    a repeated line is not parsed again, and each ``Event`` is built from
+    its memoized parts.
     """
-    for lineno, raw_line in _numbered_lines(lines):
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            yield parse_event(line)
-        except TraceParseError as error:
-            raise TraceParseError(str(error), lineno=lineno, line=line) from None
+    from repro.trace.columnar import iter_parts  # columnar imports us
+
+    Event = ev.Event
+    for kind, tid, target, site in iter_parts(lines, "text"):
+        yield Event(kind, tid, target, site)
 
 
 def iter_load(stream: Iterable[str]) -> Iterator[ev.Event]:
@@ -374,31 +339,6 @@ def event_from_json(record: dict) -> ev.Event:
     return ev.Event(kind, tid, target, site)
 
 
-def iter_parse_parts_jsonl(
-    lines: Iterable[str],
-) -> Iterator[Tuple[int, int, Hashable, Optional[Hashable]]]:
-    """Stream-parse JSON lines to ``(kind, tid, target, site)`` tuples."""
-    for lineno, raw_line, unterminated in _flagged_lines(lines):
-        line = raw_line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if unterminated:
-                # The live-tail case: the final line has no newline yet,
-                # so a producer is (or was) mid-write.  Stop cleanly; a
-                # resumed read re-delivers the completed line.
-                return
-            raise TraceParseError(
-                f"invalid JSON ({error.msg})", lineno=lineno, line=line
-            ) from None
-        try:
-            yield event_parts_from_json(record)
-        except TraceParseError as error:
-            raise TraceParseError(str(error), lineno=lineno, line=line) from None
-
-
 def dumps_jsonl(trace: Iterable[ev.Event]) -> str:
     return (
         "\n".join(json.dumps(event_to_json(event)) for event in trace) + "\n"
@@ -412,24 +352,16 @@ def iter_parse_jsonl(lines: Iterable[str]) -> Iterator[ev.Event]:
     terminator is treated as a partially-written tail (the live-tail
     case: ``repro watch`` follows files while a producer appends) and is
     silently buffered out — iteration ends cleanly instead of raising.
-    Newline-terminated garbage still raises wherever it appears.
+    Newline-terminated garbage still raises wherever it appears.  Callers
+    must keep terminators (``str.splitlines()`` without ``keepends`` would
+    mark every line as a tolerated tail).  Like :func:`iter_parse`, this
+    reads through the memoized ingest.
     """
-    for lineno, raw_line, unterminated in _flagged_lines(lines):
-        line = raw_line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            if unterminated:
-                return
-            raise TraceParseError(
-                f"invalid JSON ({error.msg})", lineno=lineno, line=line
-            ) from None
-        try:
-            yield event_from_json(record)
-        except TraceParseError as error:
-            raise TraceParseError(str(error), lineno=lineno, line=line) from None
+    from repro.trace.columnar import iter_parts  # columnar imports us
+
+    Event = ev.Event
+    for kind, tid, target, site in iter_parts(lines, "jsonl"):
+        yield Event(kind, tid, target, site)
 
 
 def iter_load_jsonl(stream: Iterable[str]) -> Iterator[ev.Event]:

@@ -216,3 +216,62 @@ class TestRecordAndAnnotate:
     def test_minimize_clean_trace_errors(self, clean_file, capsys):
         assert main(["minimize", clean_file]) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestInputErrors:
+    """Every trace-reading subcommand reports a missing, non-UTF-8 or
+    malformed trace the way ``check`` does: exit 2 (exit 1 means races
+    found), ``error: PATH: line N: ...`` and the offending line."""
+
+    @pytest.fixture
+    def bad_inputs(self, tmp_path):
+        garbage = tmp_path / "garbage.trace"
+        garbage.write_text("wr(0, x)\nwr(0, x)\nfrobnicate(1, y)\n")
+        binary = tmp_path / "binary.trace"
+        binary.write_bytes(b"wr(0, x)\nrd(0, \xff)\n")
+        missing = tmp_path / "missing.trace"
+        return garbage, binary, missing
+
+    def _assert_input_errors(self, argv_for, bad_inputs, capsys):
+        garbage, binary, missing = bad_inputs
+        assert main(argv_for(str(garbage))) == 2
+        err = capsys.readouterr().err
+        assert f"error: {garbage}: line 3: " in err
+        assert "offending line: frobnicate(1, y)" in err
+        assert main(argv_for(str(binary))) == 2
+        err = capsys.readouterr().err
+        # Decoding is buffered, so the reported line is where the failing
+        # read started; the byte offset pins the bad byte itself.
+        assert f"error: {binary}: line " in err
+        assert "trace is not valid UTF-8" in err and "at byte 15" in err
+        assert main(argv_for(str(missing))) == 2
+        err = capsys.readouterr().err
+        assert f"error: {missing}: " in err
+        assert "Traceback" not in err
+
+    def test_classify(self, bad_inputs, capsys):
+        self._assert_input_errors(
+            lambda path: ["classify", path], bad_inputs, capsys
+        )
+
+    def test_annotate(self, bad_inputs, capsys):
+        self._assert_input_errors(
+            lambda path: ["annotate", path], bad_inputs, capsys
+        )
+
+    def test_compose(self, bad_inputs, capsys):
+        self._assert_input_errors(
+            lambda path: ["compose", "FastTrack:Velodrome", path],
+            bad_inputs, capsys,
+        )
+
+    def test_minimize(self, bad_inputs, capsys):
+        self._assert_input_errors(
+            lambda path: ["minimize", path], bad_inputs, capsys
+        )
+
+    def test_check_and_predict_share_the_error_path(self, bad_inputs, capsys):
+        for command in ("check", "predict"):
+            self._assert_input_errors(
+                lambda path: [command, path], bad_inputs, capsys
+            )

@@ -332,6 +332,29 @@ class TestTelemetryDoesNotPerturb:
             s["labels"]["rule"] == "FT READ SAME EPOCH" for s in samples
         )
 
+    def test_single_check_times_every_pass(
+        self, tsp_file, tmp_path, capsys
+    ):
+        telemetry = tmp_path / "tel"
+        main(["check", tsp_file, "--json", "--telemetry", str(telemetry)])
+        capsys.readouterr()
+        spans = {
+            r["name"]: r for r in _spans(str(telemetry))
+            if r["type"] == "span"
+        }
+        events = spans["check.read"]["attrs"]["events"]
+        assert events > 0
+        for name in ("check.feasibility", "check.classify",
+                     "check.analyze"):
+            assert spans[name]["attrs"]["events"] == events
+        # Without --json there is no classifier pass to time.
+        plain = tmp_path / "plain"
+        main(["check", tsp_file, "--telemetry", str(plain)])
+        capsys.readouterr()
+        names = [r["name"] for r in _spans(str(plain))]
+        assert "check.feasibility" in names
+        assert "check.classify" not in names
+
     def test_sharded_check_emits_shard_spans(
         self, tsp_file, tmp_path, capsys
     ):
