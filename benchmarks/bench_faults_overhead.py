@@ -7,7 +7,8 @@ is the streaming trace reader — ``trace.read`` is polled per line — so
 this benchmark measures text-format parsing in three modes:
 
 * **raw**      — the memoized ingest loop (strip, memo lookup, skip
-  comments, ``parse_event_parts`` on a miss) with plain ``enumerate``
+  comments, on a miss the same ``serialize.parse_event_parts``, fast
+  path included, that the ingest calls) with plain ``enumerate``
   line numbering and no injection poll, reconstructed locally: the
   baseline;
 * **disabled** — ``repro.trace.columnar.iter_parts``, the ingest every

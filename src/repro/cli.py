@@ -372,7 +372,7 @@ def _cmd_check_single(args) -> int:
             return 2
         read_span.set(events=len(columns))
     with obs.span("check.feasibility", events=len(columns)):
-        violations = check_feasible(columns.iter_events())
+        violations = check_feasible(columns)
     if violations:
         print(
             f"warning: trace is not feasible ({violations[0]})",
@@ -391,13 +391,6 @@ def _cmd_check_single(args) -> int:
         return trace
 
     use_kernels = args.kernel != "generic"
-    classifier = None
-    if args.json:
-        from repro.detectors.classifier import SharingClassifier
-
-        with obs.span("check.classify", events=len(columns)):
-            classifier = SharingClassifier()
-            classifier.process(columns)
     report_target = None
     if args.all_tools and not args.verbose and not args.json:
         print(f"{'tool':<12s}{'warnings':>9s}")
@@ -429,7 +422,7 @@ def _cmd_check_single(args) -> int:
         if args.json:
             from repro.report import detector_result
 
-            json_results[name] = detector_result(detector, classifier)
+            json_results[name] = detector_result(detector)
         elif args.all_tools and not args.verbose:
             print(f"{name:<12s}{detector.warning_count:>9d}")
         else:
@@ -437,6 +430,17 @@ def _cmd_check_single(args) -> int:
             for warning in detector.warnings:
                 print(f"  {warning}")
     if args.json:
+        from repro.detectors.classifier import SharingClassifier
+        from repro.report import classifier_counts
+
+        # After the tools: the checked tool's FastTrack run is also the
+        # classifier's race verdict, so FastTrack does not run twice.
+        with obs.span("check.classify", events=len(columns)):
+            classifier = SharingClassifier()
+            classifier.process(columns, verdict=report_target)
+            counts = classifier_counts(classifier)
+        for result in json_results.values():
+            result["classifier"] = counts
         _print_json_results(json_results, args)
     oracle_set = None
     if args.oracle:

@@ -21,10 +21,11 @@ bookkeeping for the other classes.  ``fractions()`` weights classes by
 access count, which is the quantity the paper's fast-path argument needs.
 
 :meth:`SharingClassifier.process` is columnar: the inner FastTrack runs
-through its fused kernel, then one pass over the kind/tid/target columns
-builds every profile.  The per-event :meth:`~Detector.handle` path
-(``on_*`` below) stays as the reference it must match field for field
-(``tests/test_classifier.py``).
+through its fused kernel (or is the checked tool's own FastTrack run over
+the same columns, when the caller passes it), then one pass over the
+kind/tid/target columns builds every profile.  The per-event
+:meth:`~Detector.handle` path (``on_*`` below) stays as the reference it
+must match field for field (``tests/test_classifier.py``).
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ class SharingClassifier(Detector):
 
     # -- the columnar pass -----------------------------------------------------
 
-    def process(self, trace) -> "SharingClassifier":
+    def process(
+        self, trace, verdict: Optional[Detector] = None
+    ) -> "SharingClassifier":
         """Classify a whole trace: a :class:`ColumnarTrace` (or engine
         shard columns) directly, any other event iterable after building
         its columns.
@@ -106,6 +109,14 @@ class SharingClassifier(Detector):
         state, and every profile (in first-access order, locksets holding
         lock targets).  A classifier that has already seen events keeps
         that per-event path.
+
+        ``verdict`` is an optional finished detector over the same
+        events — the checked tool's own run.  When it is a plain
+        :class:`FastTrack` with this classifier's shadow key, its racy
+        keys are exactly the ones the inner run would find, so it becomes
+        :attr:`fasttrack` and the inner kernel run is skipped (``racy``
+        and every count stay the same; :attr:`warnings` are then the
+        tool's).  Any other detector is ignored.
         """
         if self._index != -1 or self.profiles or self.held:
             return super().process(trace)
@@ -116,7 +127,13 @@ class SharingClassifier(Detector):
         )
         n = len(col)
         kb = col.kinds.tobytes()
-        self._run_fasttrack(col, kb)
+        if (
+            type(verdict) is FastTrack
+            and verdict.shadow_key is self.shadow_key
+        ):
+            self.fasttrack = verdict
+        else:
+            self._run_fasttrack(col, kb)
         self._build_profiles(col, kb)
         stats = self.stats
         reads = kb.count(ev.READ)

@@ -277,7 +277,9 @@ def analyze_shard(
                         kind_counts[kind] = kind_counts.get(kind, 0) + 1
                     _tally_kinds(detector.stats, kind_counts)
                 if classifier is not None:
-                    classifier.process(columns)
+                    # The shard's FastTrack run is also the classifier's
+                    # race verdict (other tools are ignored by it).
+                    classifier.process(columns, verdict=detector)
                 kspan.set(
                     events=events_seen,
                     kernel="fused" if use_fused else "generic",

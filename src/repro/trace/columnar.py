@@ -49,6 +49,7 @@ from typing import (
     Tuple,
 )
 
+from repro import faults
 from repro.trace import events as ev
 from repro.trace import serialize
 
@@ -299,12 +300,14 @@ def _memoized(
     instead of being parsed again.  Text-format comment and blank lines
     are skipped; JSONL skips blank lines and stops cleanly at an
     unterminated, unparseable final line (a producer's write in flight —
-    see :func:`repro.trace.serialize.iter_parse_jsonl`).  Lines are drawn
-    through :func:`repro.trace.serialize._numbered_lines`, so fault plans
-    and mid-stream decode errors behave as in every other reader, and a
-    bad line raises :class:`~repro.trace.serialize.TraceParseError` with
-    its 1-based number and text however many repeats or memo clears
-    preceded it.
+    see :func:`repro.trace.serialize.iter_parse_jsonl`).  A bad line
+    raises :class:`~repro.trace.serialize.TraceParseError` with its
+    1-based number and text however many repeats or memo clears preceded
+    it, and so does a mid-stream decode error.  Lines are numbered by a
+    plain ``enumerate`` unless a fault plan is armed, when they are drawn
+    through :func:`repro.trace.serialize._numbered_lines` to poll
+    ``trace.read``: that poll costs a generator frame per line, which a
+    plan-free run must not pay (``benchmarks/bench_faults_overhead.py``).
     """
     jsonl = fmt == "jsonl"
     parse_text = serialize.parse_event_parts
@@ -312,34 +315,44 @@ def _memoized(
     TraceParseError = serialize.TraceParseError
     memo: Dict[str, tuple] = {}
     lookup = memo.get
-    for lineno, raw_line in serialize._numbered_lines(lines):
-        line = raw_line.strip()
-        value = lookup(line)
-        if value is None:
-            if not line:
-                continue
-            try:
-                if not jsonl:
-                    if line[0] == "#":
-                        continue
-                    parts = parse_text(line)
-                else:
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as error:
-                        if not raw_line.endswith(("\n", "\r")):
-                            return
-                        raise TraceParseError(f"invalid JSON ({error.msg})")
-                    parts = parse_record(record)
-            except TraceParseError as error:
-                raise TraceParseError(
-                    str(error), lineno=lineno, line=line
-                ) from None
-            value = encode(parts)
-            if len(memo) >= MEMO_LINES:
-                memo.clear()
-            memo[line] = value
-        yield value
+    if faults.active():
+        numbered = serialize._numbered_lines(lines)
+    else:
+        numbered = enumerate(lines, start=1)
+    lineno = 0
+    try:
+        for lineno, raw_line in numbered:
+            line = raw_line.strip()
+            value = lookup(line)
+            if value is None:
+                if not line:
+                    continue
+                try:
+                    if not jsonl:
+                        if line[0] == "#":
+                            continue
+                        parts = parse_text(line)
+                    else:
+                        try:
+                            record = json.loads(line)
+                        except json.JSONDecodeError as error:
+                            if not raw_line.endswith(("\n", "\r")):
+                                return
+                            raise TraceParseError(f"invalid JSON ({error.msg})")
+                        parts = parse_record(record)
+                except TraceParseError as error:
+                    raise TraceParseError(
+                        str(error), lineno=lineno, line=line
+                    ) from None
+                value = encode(parts)
+                if len(memo) >= MEMO_LINES:
+                    memo.clear()
+                memo[line] = value
+            yield value
+    except UnicodeDecodeError as error:
+        # Only the plain ``enumerate`` lets one through, aborting itself:
+        # the failing line is the one after the last line yielded.
+        raise serialize._not_utf8(error, lineno + 1) from None
 
 
 def _same(parts: tuple) -> tuple:

@@ -34,6 +34,7 @@ from __future__ import annotations
 from typing import Dict, Hashable, Iterable, List, Set
 
 from repro.trace import events as ev
+from repro.trace.columnar import ColumnarTrace
 
 
 class FeasibilityError(ValueError):
@@ -41,8 +42,25 @@ class FeasibilityError(ValueError):
 
 
 def check_feasible(trace: Iterable[ev.Event]) -> List[str]:
-    """All Section 2.1 violations in ``trace``, as human-readable strings."""
+    """All Section 2.1 violations in ``trace``, as human-readable strings.
+
+    ``trace`` is any event iterable or a
+    :class:`~repro.trace.columnar.ColumnarTrace`, whose kind/tid/target
+    columns are walked directly: an ``Event`` is built only to format a
+    violation, so both forms give the same strings.
+    """
+    if isinstance(trace, ColumnarTrace):
+        targets = map(trace.targets.__getitem__, trace.target_ids)
+        rows = zip(trace.kinds, trace.tids, targets)
+    else:
+        rows = ((event.kind, event.tid, event.target) for event in trace)
     violations: List[str] = []
+
+    def violation(message: str) -> None:
+        # Reads the loop's current event; only called on a violation.
+        event = ev.Event(kind, tid, target)
+        violations.append(f"#{index}: {event!r} — {message}")
+
     lock_holder: Dict[Hashable, int] = {}
     started: Set[int] = set()  # threads that have performed an op
     forked: Set[int] = set()  # threads created by a fork or task_spawn
@@ -53,13 +71,14 @@ def check_feasible(trace: Iterable[ev.Event]) -> List[str]:
     # the (label, parent, members) stack of scopes t itself opened.
     visible: Dict[int, List[int]] = {}
     open_scopes: Dict[int, List] = {}
+    WRITE = ev.WRITE
+    ACQUIRE = ev.ACQUIRE
+    RELEASE = ev.RELEASE
+    BARRIER_RELEASE = ev.BARRIER_RELEASE
 
-    for index, event in enumerate(trace):
-        kind = event.kind
-        tid = event.tid
-
-        if kind == ev.BARRIER_RELEASE:
-            for member in event.target:
+    for index, (kind, tid, target) in enumerate(rows):
+        if kind == BARRIER_RELEASE:
+            for member in target:
                 if member in joined:
                     violations.append(
                         f"#{index}: barrier releases joined thread {member}"
@@ -70,39 +89,34 @@ def check_feasible(trace: Iterable[ev.Event]) -> List[str]:
             continue
 
         if tid in joined:
-            violations.append(
-                f"#{index}: {event!r} — thread {tid} acts after being joined"
-            )
+            violation(f"thread {tid} acts after being joined")
         if tid in fork_pending:
             fork_pending.discard(tid)
         started.add(tid)
 
-        if kind == ev.ACQUIRE:
-            holder = lock_holder.get(event.target)
+        if kind <= WRITE:  # reads and writes: nothing more to check
+            continue
+        if kind == ACQUIRE:
+            holder = lock_holder.get(target)
             if holder is not None:
-                violations.append(
-                    f"#{index}: {event!r} — lock held by thread {holder}"
-                )
-            lock_holder[event.target] = tid
-        elif kind == ev.RELEASE:
-            holder = lock_holder.get(event.target)
+                violation(f"lock held by thread {holder}")
+            lock_holder[target] = tid
+        elif kind == RELEASE:
+            holder = lock_holder.get(target)
             if holder != tid:
-                violations.append(
-                    f"#{index}: {event!r} — thread {tid} does not hold the lock"
-                    f" (holder: {holder})"
+                violation(
+                    f"thread {tid} does not hold the lock (holder: {holder})"
                 )
             else:
-                del lock_holder[event.target]
+                del lock_holder[target]
         elif kind in (ev.FORK, ev.TASK_SPAWN):
-            child = event.target
+            child = target
             if child == tid:
-                violations.append(f"#{index}: {event!r} — thread forks itself")
+                violation("thread forks itself")
             if child in forked:
-                violations.append(f"#{index}: {event!r} — thread forked twice")
+                violation("thread forked twice")
             if child in started:
-                violations.append(
-                    f"#{index}: {event!r} — child already ran before fork"
-                )
+                violation("child already ran before fork")
             forked.add(child)
             fork_pending.add(child)
             if kind == ev.TASK_SPAWN:
@@ -111,36 +125,31 @@ def check_feasible(trace: Iterable[ev.Event]) -> List[str]:
                     scope.append(child)
                     visible[child] = scope
         elif kind in (ev.JOIN, ev.TASK_AWAIT):
-            child = event.target
+            child = target
             if child == tid:
-                violations.append(f"#{index}: {event!r} — thread joins itself")
+                violation("thread joins itself")
             if child in joined:
-                violations.append(f"#{index}: {event!r} — thread joined twice")
+                violation("thread joined twice")
             if child not in started or child in fork_pending:
                 # covers constraint (4): a forked thread must run at least one
                 # op before being joined, and an initial thread must have run.
-                violations.append(
-                    f"#{index}: {event!r} — joined thread has no operations"
-                )
+                violation("joined thread has no operations")
             joined.add(child)
         elif kind == ev.FINISH_BEGIN:
             members: List[int] = []
             open_scopes.setdefault(tid, []).append(
-                (event.target, visible.get(tid), members)
+                (target, visible.get(tid), members)
             )
             visible[tid] = members
         elif kind == ev.FINISH_END:
             stack = open_scopes.get(tid)
             if not stack:
-                violations.append(
-                    f"#{index}: {event!r} — finish_end without matching"
-                    f" finish_begin"
-                )
+                violation("finish_end without matching finish_begin")
             else:
                 label, parent, members = stack.pop()
-                if label != event.target:
-                    violations.append(
-                        f"#{index}: {event!r} — closes scope {label!r}"
+                if label != target:
+                    violation(
+                        f"closes scope {label!r}"
                         f" (finish scopes must nest properly)"
                     )
                 if parent is None:

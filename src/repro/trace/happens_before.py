@@ -43,12 +43,22 @@ Edge construction
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.trace import events as ev
 from repro.trace.trace import Trace
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 def _predecessor_lists(events: Sequence[ev.Event]):
@@ -246,8 +256,11 @@ def happens_before_graph(trace: Iterable[ev.Event]) -> "nx.DiGraph":
     Built with the same edge rules as :class:`HappensBefore` except that
     volatile write→read edges are materialized explicitly; reachability in
     this graph must agree with :meth:`HappensBefore.ordered` (asserted by
-    the test suite).
+    the test suite).  networkx is imported on the first call: nothing else
+    in ``repro`` needs it, and importing it costs a few hundred modules.
     """
+    import networkx as nx
+
     events = list(trace)
     graph = nx.DiGraph()
     graph.add_nodes_from(range(len(events)))

@@ -69,6 +69,15 @@ _LINE = re.compile(
 )
 _TARGET = re.compile(r"^(?P<base>[^\[\]]+)(?P<indices>(\[[^\[\]]+\])*)$")
 _INDEX = re.compile(r"\[([^\[\]]+)\]")
+#: The common line shape, exactly as :func:`format_event` writes an access
+#: or lock operation: ``op(TID, base[i][j]) @ site`` with single spaces,
+#: an ASCII-decimal tid, and no whitespace, ``,()@`` or brackets inside
+#: the base or an index.
+_FAST_NAME = r"[^\s,()@\[\]]+"
+_FAST_LINE = re.compile(
+    rf"(rd|wr|acq|rel)\((-?[0-9]+), ({_FAST_NAME})((?:\[{_FAST_NAME}\])*)\)"
+    r"(?: @ (\S+))?"
+)
 
 
 class TraceParseError(ValueError):
@@ -153,7 +162,27 @@ def parse_event_parts(line: str) -> Tuple[int, int, Hashable, Optional[str]]:
     ingest of :mod:`repro.trace.columnar` interns these fields straight
     into columns without ever building an
     :class:`~repro.trace.events.Event`.
+
+    A line that ``fullmatch``-es ``_FAST_LINE`` is split without the
+    general argument splitting and target regex; any other line (odd
+    spacing, ``+1`` tids, barriers, forks, errors) goes to
+    :func:`_parse_event_parts_general`.  Either way the result is the same
+    tuple, element types included, and errors are the same errors.
     """
+    match = _FAST_LINE.fullmatch(line)
+    if match is None:
+        return _parse_event_parts_general(line)
+    op, tid, base, indices, site = match.groups()
+    target: Hashable = _coerce(base)
+    if indices:
+        target = (target, *map(_coerce, indices[1:-1].split("][")))
+    return _KIND_BY_NAME[op], int(tid), target, site
+
+
+def _parse_event_parts_general(
+    line: str,
+) -> Tuple[int, int, Hashable, Optional[str]]:
+    """:func:`parse_event_parts` for any line, by the general grammar."""
     match = _LINE.match(line.strip())
     if match is None:
         raise TraceParseError(f"unparseable line {line!r}")
@@ -193,33 +222,28 @@ def parse_event(line: str) -> ev.Event:
     return ev.Event(kind, tid, target, site)
 
 
+def _not_utf8(error: UnicodeDecodeError, lineno: int) -> TraceParseError:
+    """The :class:`TraceParseError` for a line that failed to decode."""
+    return TraceParseError(
+        f"trace is not valid UTF-8 ({error.reason} at byte {error.start})",
+        lineno=lineno,
+    )
+
+
 def _numbered_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
-    """Number a line stream, surviving mid-stream byte rot.
+    """Number a line stream while a fault plan is armed.
 
     Reading an open file iterates it lazily, so a non-UTF-8 byte half-way
     through a multi-gigabyte trace raises ``UnicodeDecodeError`` *during*
-    iteration — long after parsing started.  Every streaming parser draws
-    its lines from here so that failure (and any injected ``trace.read``
-    fault) surfaces as a :class:`TraceParseError` with the 1-based line
-    number, never as a bare codec exception from deep inside the engine.
+    iteration — long after parsing started.  The ingest
+    (:func:`repro.trace.columnar._memoized`) surfaces that failure as a
+    :class:`TraceParseError` with the 1-based line number, never as a bare
+    codec exception from deep inside the engine.  With no plan installed
+    (every production run) it numbers lines with a plain ``enumerate`` and
+    one enclosing handler; with a plan armed it draws them from here,
+    which polls ``trace.read`` per line and keeps a per-line handler so an
+    injected decode failure is attributed too.
     """
-    if not faults.active():
-        # The production path: plain enumerate, one enclosing handler.
-        # A decode error aborts the enumerate itself, so the failing
-        # line is the one after the last line yielded.
-        lineno = 0
-        try:
-            for lineno, raw_line in enumerate(lines, start=1):
-                yield lineno, raw_line
-        except UnicodeDecodeError as error:
-            raise TraceParseError(
-                f"trace is not valid UTF-8 "
-                f"({error.reason} at byte {error.start})",
-                lineno=lineno + 1,
-            ) from None
-        return
-    # A fault plan is armed: poll ``trace.read`` per line, and keep the
-    # per-line handler so an injected decode failure is attributed too.
     iterator = iter(lines)
     lineno = 0
     while True:
@@ -229,11 +253,7 @@ def _numbered_lines(lines: Iterable[str]) -> Iterator[Tuple[int, str]]:
         except StopIteration:
             return
         except UnicodeDecodeError as error:
-            raise TraceParseError(
-                f"trace is not valid UTF-8 "
-                f"({error.reason} at byte {error.start})",
-                lineno=lineno,
-            ) from None
+            raise _not_utf8(error, lineno) from None
         spec = faults.fire("trace.read", lineno=lineno)
         if spec is not None and spec.action == "corrupt":
             # Keep the terminator: injected corruption must parse-fail

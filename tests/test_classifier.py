@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import engine
+from repro import cli, engine, faults
 from repro.core.detector import Detector, coarse_grain
 from repro.detectors.classifier import (
     LOCK_PROTECTED,
@@ -16,6 +16,12 @@ from repro.detectors.classifier import (
     SharingClassifier,
 )
 from repro.bench.workload import WORKLOADS
+from repro.detectors.registry import default_tool_kwargs, make_detector
+from repro.engine import transport
+from repro.engine.checkpoint import Workdir
+from repro.engine.partition import partition_events
+from repro.engine.worker import analyze_shard
+from repro.kernels import has_kernel, run_kernel
 from repro.report import classifier_counts
 from repro.trace import events as ev
 from repro.trace.columnar import ColumnarTrace
@@ -228,3 +234,120 @@ class TestColumnarProcess:
         assert (
             report.classifier_variable_counts == expected["variable_counts"]
         )
+
+
+# -- a shared FastTrack verdict ------------------------------------------------
+
+
+def tool_run(name, col, generic=False, **kwargs):
+    """The checked tool's finished run over ``col``, as ``repro check``
+    makes it: the fused kernel, or the object path (``--kernel generic``
+    and the kernel-fallback path)."""
+    kwargs = {**default_tool_kwargs(name), **kwargs}
+    detector = make_detector(name, **kwargs)
+    if generic or not has_kernel(name):
+        return detector.process(col.iter_events())
+    return run_kernel(name, col, detector=detector)
+
+
+def verdict_fields(tool):
+    """What a shared verdict must not change: the classes, the profiles
+    and the payload the CLI and the engine emit."""
+    fields = snapshot(tool)
+    return {
+        name: fields[name]
+        for name in ("classify", "profiles", "held", "counts", "stats")
+    }
+
+
+def assert_shared_matches(events, tool="FastTrack", shares=True, **kwargs):
+    col = ColumnarTrace.from_events(events)
+    standalone = verdict_fields(SharingClassifier(**kwargs).process(col))
+    for generic in (False, True):
+        verdict = tool_run(tool, col, generic, **kwargs)
+        shared = SharingClassifier(**kwargs).process(col, verdict=verdict)
+        assert (shared.fasttrack is verdict) == shares
+        assert verdict_fields(shared) == standalone
+
+
+class TestSharedVerdict:
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_golden_corpus(self, name):
+        events = list(loads((DATA / f"{name}.trace").read_text()))
+        assert_shared_matches(events)
+
+    @pytest.mark.parametrize("round_index,trace", list(corpus()))
+    def test_differential_fuzz_corpus(self, round_index, trace):
+        assert_shared_matches(list(trace))
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_coarse_grain_does_not_share_a_fine_grain_run(self, name):
+        events = list(loads((DATA / f"{name}.trace").read_text()))
+        col = ColumnarTrace.from_events(events)
+        verdict = tool_run("FastTrack", col)
+        tool = SharingClassifier(shadow_key=coarse_grain)
+        tool.process(col, verdict=verdict)
+        assert tool.fasttrack is not verdict
+        assert verdict_fields(tool) == verdict_fields(
+            SharingClassifier(shadow_key=coarse_grain).process(col)
+        )
+        # A coarse-grain FastTrack run is the same shadow key: shared.
+        assert_shared_matches(events, shadow_key=coarse_grain)
+
+    @pytest.mark.parametrize("tool", ["DJIT+", "WCP", "AsyncFinish"])
+    @pytest.mark.parametrize("name", ["tsp_small", "async_pool"])
+    def test_other_tools_keep_the_classifier_run(self, name, tool):
+        events = list(loads((DATA / f"{name}.trace").read_text()))
+        assert_shared_matches(events, tool=tool, shares=False)
+
+    def test_a_warm_classifier_ignores_the_verdict(self):
+        first = [ev.fork(0, 1), ev.wr(0, "x")]
+        second = [ev.wr(1, "x"), ev.rd(0, "x")]
+        verdict = tool_run("FastTrack", ColumnarTrace.from_events(second))
+        tool = SharingClassifier().process(first)
+        tool.process(second, verdict=verdict)
+        assert tool.fasttrack is not verdict
+        assert snapshot(tool) == snapshot(per_event(first + second))
+
+    @pytest.mark.parametrize("name", ["tsp_small", "async_pipeline"])
+    def test_cli_kernel_fallback(self, name, tmp_path, capsys):
+        # A kernel fault sends the checked tool down the object path; its
+        # run is still the classifier's verdict, and the bytes hold.
+        trace = str(DATA / f"{name}.trace")
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "schema": "repro.faults/1",
+            "faults": [{"point": "kernel.run", "times": 99}],
+        }))
+        outputs = []
+        for extra in ([], ["--faults", str(plan)]):
+            try:
+                code = cli.main(["check", trace, "--json", *extra])
+            finally:
+                faults.clear()
+            outputs.append((code, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("kernel", ["fused", "generic"])
+    @pytest.mark.parametrize("nshards", [1, 2, 4])
+    def test_engine_shard_payloads(self, nshards, kernel, tmp_path):
+        trace = WORKLOADS["tsp"].trace(scale=150)
+        workdir = Workdir(str(tmp_path / "run"))
+        partition_events(trace.events, workdir, nshards)
+        meta = workdir.read_meta()
+        intern = transport.load_intern(workdir, meta)
+        for shard in range(nshards):
+            payload = analyze_shard(
+                workdir, shard, "FastTrack", default_tool_kwargs("FastTrack"),
+                classify=True, kernel=kernel,
+            )
+            view = transport.attach_view(workdir, meta, shard)
+            try:
+                columns, _indices = view.columns(intern)
+                expected = classifier_counts(
+                    SharingClassifier().process(columns)
+                )
+                columns = _indices = None
+            finally:
+                view.close()
+            assert payload["classifier"] == expected, shard

@@ -275,3 +275,36 @@ class TestInputErrors:
             self._assert_input_errors(
                 lambda path: [command, path], bad_inputs, capsys
             )
+
+
+class TestNoNetworkx:
+    """networkx is optional: only ``happens_before_graph`` imports it, and
+    a check never calls that."""
+
+    def test_check_json_runs_with_networkx_blocked(self):
+        import json
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        script = (
+            "import sys\n"
+            "sys.modules['networkx'] = None  # any import now fails\n"
+            "import repro.cli\n"
+            "code = repro.cli.main(['check', 'tests/data/figure4.trace',"
+            " '--json'])\n"
+            "leaked = [name for name in sys.modules"
+            " if name.split('.')[0] == 'networkx'"
+            " and sys.modules[name] is not None]\n"
+            "sys.exit(99 if leaked else 10 + code)\n"
+        )
+        # Offset exit codes: a crash (1) cannot pass for a clean run.
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode in (10, 11), done.stderr
+        assert json.loads(done.stdout)["tool"] == "FastTrack"

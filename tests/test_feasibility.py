@@ -1,5 +1,7 @@
 """Tests for the Section 2.1 feasibility constraints."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 
@@ -11,6 +13,8 @@ from repro.trace.feasibility import (
     require_feasible,
 )
 from repro.trace.generators import traces
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestLocking:
@@ -218,3 +222,117 @@ class TestWitnessChecking:
             assert report.vindicated, name
             for race in report.vindicated:
                 assert check_feasible(race.witness.events(events)) == []
+
+
+# -- the columnar walk ------------------------------------------------------------
+
+#: One hand-built infeasible trace per Section 2.1 constraint, barriers and
+#: async-finish scopes included, with the exact violation strings.
+INFEASIBLE = {
+    "double_acquire": (
+        [ev.acq(0, "m"), ev.acq(1, "m")],
+        ["#1: acq(1, 'm') — lock held by thread 0"],
+    ),
+    "release_unheld": (
+        [ev.acq(0, ("lock", 1)), ev.rel(1, ("lock", 1))],
+        ["#1: rel(1, ('lock', 1)) — thread 1 does not hold the lock"
+         " (holder: 0)"],
+    ),
+    "release_never_acquired": (
+        [ev.rel(0, 7)],
+        ["#0: rel(0, 7) — thread 0 does not hold the lock (holder: None)"],
+    ),
+    "child_before_fork": (
+        [ev.rd(1, "x"), ev.fork(0, 1)],
+        ["#1: fork(0, 1) — child already ran before fork"],
+    ),
+    "acts_after_join": (
+        [ev.fork(0, 1), ev.wr(1, ("a", 2)), ev.join(0, 1),
+         ev.rd(1, ("a", 2))],
+        ["#3: rd(1, ('a', 2)) — thread 1 acts after being joined"],
+    ),
+    "join_without_ops": (
+        [ev.fork(0, 1), ev.join(0, 1)],
+        ["#1: join(0, 1) — joined thread has no operations"],
+    ),
+    "self_fork_join": (
+        [ev.fork(0, 0), ev.join(1, 1)],
+        ["#0: fork(0, 0) — thread forks itself",
+         "#0: fork(0, 0) — child already ran before fork",
+         "#1: join(1, 1) — thread joins itself"],
+    ),
+    "double_fork_join": (
+        [ev.fork(0, 1), ev.wr(1, "x"), ev.fork(0, 1), ev.join(0, 1),
+         ev.join(0, 1)],
+        ["#2: fork(0, 1) — thread forked twice",
+         "#2: fork(0, 1) — child already ran before fork",
+         "#3: join(0, 1) — joined thread has no operations",
+         "#4: join(0, 1) — thread joined twice",
+         "#4: join(0, 1) — joined thread has no operations"],
+    ),
+    "barrier_of_joined": (
+        [ev.fork(0, 1), ev.wr(1, "x"), ev.join(0, 1),
+         ev.barrier_rel((0, 1))],
+        ["#3: barrier releases joined thread 1"],
+    ),
+    "task_spawn_await": (
+        [ev.task_spawn(0, 2), ev.task_await(0, 2), ev.task_spawn(0, 0)],
+        ["#1: task_await(0, 2) — joined thread has no operations",
+         "#2: task_spawn(0, 0) — thread forks itself",
+         "#2: task_spawn(0, 0) — child already ran before fork"],
+    ),
+    "finish_end_unopened": (
+        [ev.finish_end(0, "f")],
+        ["#0: finish_end(0, 'f') — finish_end without matching"
+         " finish_begin"],
+    ),
+    "finish_scopes_misnested": (
+        [ev.finish_begin(0, "f"), ev.finish_begin(0, "g"),
+         ev.finish_end(0, "f"), ev.finish_end(0, "g")],
+        ["#2: finish_end(0, 'f') — closes scope 'g' (finish scopes must"
+         " nest properly)",
+         "#3: finish_end(0, 'g') — closes scope 'f' (finish scopes must"
+         " nest properly)"],
+    ),
+    "task_after_finish": (
+        [ev.finish_begin(0, "f"), ev.task_spawn(0, 1), ev.wr(1, "x"),
+         ev.task_spawn(1, 2), ev.rd(2, "x"), ev.finish_end(0, "f"),
+         ev.rd(1, "x"), ev.wr(2, "x")],
+        ["#6: rd(1, 'x') — thread 1 acts after being joined",
+         "#7: wr(2, 'x') — thread 2 acts after being joined"],
+    ),
+}
+
+
+class TestColumnarWalk:
+    """``check_feasible`` over a :class:`ColumnarTrace` walks its columns;
+    the violations must be the Event path's, string for string."""
+
+    @pytest.mark.parametrize("name", sorted(INFEASIBLE))
+    def test_hand_built_infeasible_traces(self, name):
+        from repro.trace.columnar import ColumnarTrace
+        from repro.trace.serialize import dumps
+
+        events, expected = INFEASIBLE[name]
+        assert check_feasible(events) == expected
+        assert check_feasible(iter(events)) == expected
+        assert check_feasible(ColumnarTrace.from_events(events)) == expected
+        lines = dumps(events).splitlines()
+        assert check_feasible(ColumnarTrace.from_lines(lines)) == expected
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("name", sorted(
+        path.stem for path in DATA.glob("*.trace")
+    ))
+    def test_golden_corpus(self, name, reverse):
+        # Reversed, every golden trace breaks several constraints.
+        from repro.trace.columnar import ColumnarTrace
+        from repro.trace.serialize import dumps, loads
+
+        events = list(loads((DATA / f"{name}.trace").read_text()))
+        if reverse:
+            events.reverse()
+        expected = check_feasible(events)
+        assert bool(expected) == reverse
+        columns = ColumnarTrace.from_lines(dumps(events).splitlines())
+        assert check_feasible(columns) == expected

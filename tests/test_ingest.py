@@ -13,6 +13,8 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.engine.checkpoint import Workdir
 from repro.engine.partition import partition_events
@@ -41,7 +43,7 @@ def unmemoized(lines, fmt):
         if not line or (fmt == "text" and line.startswith("#")):
             continue
         if fmt == "text":
-            parts = serialize.parse_event_parts(line)
+            parts = serialize._parse_event_parts_general(line)
         else:
             parts = serialize.event_parts_from_json(json.loads(line))
         trace.append(*parts)
@@ -230,3 +232,145 @@ class TestPartitionBytes:
         assert partition_digest(tmp_path / "w", 4) == (
             PARTITION_DIGESTS["tsp_small", 4]
         )
+
+
+# -- the memo-miss fast path ------------------------------------------------------
+
+
+def typed(value):
+    """``value`` with every element's type attached, so ``1 == True``-style
+    coincidences and int/str mix-ups cannot compare equal."""
+    if isinstance(value, tuple):
+        return tuple, tuple(typed(item) for item in value)
+    return type(value), value
+
+
+def outcome(parse, line):
+    try:
+        return "ok", typed(parse(line))
+    except TraceParseError as error:
+        return "error", str(error), error.lineno, error.line
+
+
+def assert_fast_equals_general(line):
+    assert outcome(serialize.parse_event_parts, line) == outcome(
+        serialize._parse_event_parts_general, line
+    ), line
+
+
+_PLAIN = st.sampled_from(
+    ["0", "1", "12", "-1", "-0", "007", "x", "grid", "sor.rd", "é", "٣"]
+)
+_ODD = st.sampled_from(["+1", "1_000", "a@b", "a,b", "m)", "(m", "", " y "])
+
+
+@st.composite
+def trace_lines(draw):
+    """Lines near the fast path's shape: odd spacing, ``@site`` with and
+    without spaces, signed and ``-0`` indices, ``+1``/``1_000`` tids,
+    empty ``[]``, targets holding ``@`` or ``,``, and the non-access
+    operations (barriers, forks, joins) the fast path never takes.
+
+    Half the lines keep the canonical spelling (one access or lock
+    operation, plain tokens, single spaces), so the fast path is taken
+    often; the other half vary each piece now and then."""
+    canonical = draw(st.booleans())
+    tokens = _PLAIN if canonical else st.one_of(_PLAIN, _ODD)
+
+    def spelled(usual, *odd):
+        if canonical:
+            return usual
+        return draw(st.sampled_from((usual, usual) + odd))
+
+    op = draw(st.sampled_from(["rd", "wr", "acq", "rel"] + (
+        [] if canonical else [
+            "vol_rd", "fork", "join", "barrier_rel", "task_spawn",
+            "finish_begin", "rdx", "",
+        ]
+    )))
+    target = draw(tokens) + "".join(
+        f"[{index}]" for index in draw(st.lists(tokens, max_size=3))
+    )
+    if op == "barrier_rel":
+        args = ", ".join(draw(st.lists(tokens, max_size=3)))
+    else:
+        args = draw(tokens) + spelled(", ", ",", ",  ", ",\t") + target
+    line = (
+        op + spelled("", " ") + "(" + spelled("", " ") + args
+        + spelled("", " ", "\t") + ")"
+    )
+    if draw(st.booleans()):
+        line += spelled(" @ ", "@", "@ ", " @", "  @\t")
+        line += draw(st.sampled_from(["s", "sor.rd_left", "a@b", "x)", ""]))
+    return line
+
+
+class TestFastPath:
+    """``parse_event_parts`` with its fast prefix is the general grammar,
+    only faster:
+    same tuple with the same element types, or the same error."""
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_every_golden_line(self, name):
+        for raw_line in golden_lines(name, "text"):
+            line = raw_line.strip()
+            if line and not line.startswith("#"):
+                assert_fast_equals_general(line)
+
+    def test_golden_accesses_and_locks_take_the_fast_path(self):
+        fast = serialize._FAST_LINE.fullmatch
+        for name in GOLDEN:
+            for raw_line in golden_lines(name, "text"):
+                line = raw_line.strip()
+                if line.startswith(("rd(", "wr(", "acq(", "rel(")):
+                    assert fast(line), line
+
+    @pytest.mark.parametrize("line", [
+        "rd(1, grid[2][7]) @ sor.rd",
+        "wr(-3, a[-0][-12][w])",
+        "acq(0, 5)",
+        "rel(007, m[007]) @ x)",
+        "rd(1,x)",
+        "rd(1, x)@s",
+        "rd(1,  x)",
+        "rd(1, x )",
+        "rd(1, x y)",
+        "rd(1, x [1])",
+        "rd(1, x[ 1])",
+        "rd(1, x[1 ])",
+        "rd(+1, x)",
+        "rd(1_000, x)",
+        "rd(1, x[])",
+        "rd(1, a@b)",
+        "rd(1, a,b)",
+        "rd(1, x) @ s t",
+        "rd(1, x) @",
+        " rd(1, x) ",
+        "rd(١, x)",
+        "rd(1, ٣[٣])",
+        "barrier_rel(2, 0, 1)",
+        "fork(0, 1)",
+        "join(0, 1) @ s",
+        "fork(0, x)",
+    ])
+    def test_edge_lines(self, line):
+        assert_fast_equals_general(line)
+
+    @settings(max_examples=400, deadline=None)
+    @given(trace_lines())
+    def test_generated_lines(self, line):
+        assert_fast_equals_general(line)
+        assert_fast_equals_general(line.strip())
+
+    @pytest.mark.parametrize("bad", [
+        "rd(1, x[])", "rd(1, a[b]c)", "rd(x, y)", "rd(1)", "fork(0, m)",
+    ])
+    def test_ingest_line_numbers_unchanged(self, bad):
+        lines = ["rd(0, x) @ s\n", "wr(0, y[1])\n", "# c\n", bad + "\n"]
+        with pytest.raises(TraceParseError) as info:
+            ColumnarTrace.from_lines(lines)
+        error = info.value
+        assert (error.lineno, error.line) == (4, bad)
+        assert str(error) == "line 4: " + outcome(
+            serialize._parse_event_parts_general, bad
+        )[1]
