@@ -13,9 +13,10 @@ benchmark measures both halves separately:
   the intern table), and
 * the **analyze+merge** phase — timed at 1, 2, and 4 workers against
   the same shard buffers, the same way a ``--resume`` run would execute
-  it, with the engine's own :attr:`MergedReport.timings` breakdown
-  (``transport_s`` = per-shard attach cost summed across workers,
-  ``analyze_s``, ``merge_s``) recorded per cell.
+  it.  Each cell's stage breakdown (``transport_s`` = the workers'
+  ``shard.attach`` spans summed, ``analyze_s`` and ``merge_s`` = the
+  ``engine.analyze`` and ``engine.merge`` spans) comes from one extra,
+  untimed round with telemetry on, so the timed rounds run with it off.
 
 Results are pushed into the session recorder that
 ``benchmarks/conftest.py`` serializes to ``benchmarks/BENCH_engine.json``,
@@ -37,7 +38,7 @@ import time
 
 import pytest
 
-from repro import engine
+from repro import engine, obs
 from repro.bench.eclipse import import_program
 from repro.engine.checkpoint import Workdir
 from repro.engine.partition import partition_events
@@ -81,19 +82,36 @@ def _timed_analysis(root, jobs):
     return time.perf_counter() - start, report
 
 
+def _span_stages(root, jobs, directory):
+    """Stage seconds from the spans of one untimed, traced round."""
+    obs.enable(str(directory))
+    try:
+        _timed_analysis(root, jobs)
+    finally:
+        obs.disable()
+    totals = {}
+    for record in obs.read_all_spans(str(directory), validate=False):
+        if record.get("type") == "span":
+            name = record["name"]
+            totals[name] = totals.get(name, 0.0) + record["wall_s"]
+    return {
+        "transport_s": totals.get("shard.attach", 0.0),
+        "analyze_s": totals.get("engine.analyze", 0.0),
+        "merge_s": totals.get("engine.merge", 0.0),
+    }
+
+
 @pytest.mark.parametrize("jobs", WORKER_COUNTS)
 def test_engine_scaling_cell(
-    benchmark, partitioned, jobs, engine_bench_recorder
+    benchmark, partitioned, jobs, engine_bench_recorder, tmp_path
 ):
     root, events, partition_stage = partitioned
     best = None
-    best_timings = None
     reference_warnings = None
     for _ in range(ROUNDS):
         seconds, report = _timed_analysis(root, jobs)
         if best is None or seconds < best:
             best = seconds
-            best_timings = report.timings or {}
         if reference_warnings is None:
             reference_warnings = [str(w) for w in report.warnings]
         else:
@@ -116,17 +134,11 @@ def test_engine_scaling_cell(
         "seconds": best,
         "events_per_sec": events / best if best else None,
         "warnings": len(reference_warnings),
-        # The engine's own per-stage breakdown for the best round:
-        # transport_s is the per-shard attach cost summed across workers
-        # (under v3 there is no deserialization — this is the whole
-        # transport tax), analyze_s the parallel phase wall-clock,
-        # merge_s the k-way merge.
-        "stages": {
-            "transport_s": best_timings.get("transport_s"),
-            "analyze_s": best_timings.get("analyze_s"),
-            "merge_s": best_timings.get("merge_s"),
-            "shard_bytes": best_timings.get("shard_bytes"),
-        },
+        # The engine's spans for one extra traced round: transport_s is
+        # the per-shard attach cost summed across workers (under v3 there
+        # is no deserialization — this is the whole transport tax),
+        # analyze_s the parallel phase wall-clock, merge_s the k-way merge.
+        "stages": _span_stages(root, jobs, tmp_path / "telemetry"),
         # More workers than cores: wall-clock reflects contention, not
         # the engine (flagged so trend tooling can discount the cell).
         "oversubscribed": jobs > (os.cpu_count() or 1),

@@ -36,11 +36,11 @@ import os
 import sys
 from typing import List, Optional
 
+from repro import kernels
 from repro.bench.workload import WORKLOADS
 from repro.detectors import (
     DETECTORS,
     default_tool_kwargs,
-    make_detector,
     resolve_tool_name,
 )
 from repro.trace import serialize
@@ -213,132 +213,6 @@ def _enable_telemetry(args) -> bool:
     return True
 
 
-def _print_json_results(json_results, args) -> None:
-    """Emit the canonical result document(s) for ``check --json``."""
-    from repro.report import dumps_result, result_set
-
-    if args.all_tools:
-        sys.stdout.write(dumps_result(result_set(json_results)))
-    else:
-        sys.stdout.write(dumps_result(json_results[args.tool]))
-
-
-def _cmd_check_sharded(args) -> int:
-    """The ``--jobs N`` / ``--shards M`` / ``--resume DIR`` engine path."""
-    from repro import engine
-
-    from repro.kernels import has_kernel
-
-    if args.oracle:
-        print(
-            "error: --oracle needs the full trace in memory; "
-            "use --jobs 1 for the oracle",
-            file=sys.stderr,
-        )
-        return 2
-    if args.kernel == "fused" and not has_kernel(args.tool):
-        print(
-            f"error: --kernel fused: {args.tool!r} has no fused kernel",
-            file=sys.stderr,
-        )
-        return 2
-    if args.shards is not None and args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}",
-              file=sys.stderr)
-        return 2
-    tool_names = list(DETECTORS) if args.all_tools else [args.tool]
-    workdir = args.resume
-    owns_workdir = False
-    if workdir is None and len(tool_names) > 1:
-        # Partition once, analyze with every tool against the same shards.
-        workdir = engine.scratch_workdir()
-        owns_workdir = True
-    if args.all_tools and not args.verbose and not args.json:
-        print(f"{'tool':<12s}{'warnings':>9s}")
-    policy = engine.RetryPolicy(
-        shard_timeout_s=getattr(args, "shard_timeout", None)
-    )
-    worst = 0
-    degraded = False
-    selected = None
-    json_results = {}
-    try:
-        for position, name in enumerate(tool_names):
-            kwargs = default_tool_kwargs(name)
-            # Reuse the partition for every tool after the first pass.
-            resume = args.resume is not None or position > 0
-            # ``--all-tools --kernel fused`` only binds the selected tool;
-            # companion tools without a kernel fall back to the object path.
-            kernel = args.kernel
-            if kernel == "fused" and name != args.tool:
-                kernel = "auto"
-            report = engine.check_trace_file(
-                args.trace,
-                tool=name,
-                fmt=args.format,
-                nshards=args.shards,
-                jobs=args.jobs,
-                workdir=workdir,
-                resume=resume,
-                classify=args.json,
-                tool_kwargs=kwargs,
-                kernel=kernel,
-                policy=policy,
-            )
-            if name == args.tool:
-                worst = report.warning_count
-                selected = report
-            if report.is_degraded:
-                degraded = True
-                quarantined = report.degraded["quarantined_shards"]
-                print(
-                    f"degraded: {name}: {len(quarantined)} of "
-                    f"{report.degraded['shards_total']} shard(s) "
-                    f"quarantined ({quarantined}); their variables were "
-                    "not analyzed",
-                    file=sys.stderr,
-                )
-            if args.json:
-                json_results[name] = report.to_json()
-            elif args.all_tools and not args.verbose:
-                print(f"{name:<12s}{report.warning_count:>9d}")
-            else:
-                print(f"{name}: {report.warning_count} warning(s)")
-                for warning in report.warnings:
-                    print(f"  {warning}")
-    except serialize.TraceParseError as error:
-        _print_parse_error(args.trace, error)
-        return 2
-    except engine.DrainRequested as error:
-        print(f"drained: {error}", file=sys.stderr)
-        return 3
-    except engine.QuarantineExhausted as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 4
-    except engine.CheckpointError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    except OSError as error:
-        print(f"error: {args.trace}: {error.strerror or error}",
-              file=sys.stderr)
-        return 2
-    finally:
-        if owns_workdir:
-            engine.Workdir(workdir).release_blocks()
-    if args.json:
-        _print_json_results(json_results, args)
-    if args.report is not None and selected is not None:
-        with open(args.report, "w", encoding="utf-8") as stream:
-            stream.write(engine.render_markdown(selected))
-        print(
-            f"report written to {args.report}",
-            file=sys.stderr if args.json else sys.stdout,
-        )
-    if degraded:
-        return 4
-    return 1 if worst else 0
-
-
 def cmd_check(args) -> int:
     failed = _install_faults(args)
     if failed is not None:
@@ -346,9 +220,7 @@ def cmd_check(args) -> int:
     telemetry = _enable_telemetry(args)
     try:
         args.jobs = _resolve_jobs(args)
-        if args.jobs > 1 or args.shards is not None or args.resume is not None:
-            return _cmd_check_sharded(args)
-        return _cmd_check_single(args)
+        return _check(args)
     finally:
         if telemetry:
             from repro import obs
@@ -356,114 +228,254 @@ def cmd_check(args) -> int:
             obs.disable()  # flushes DIR/metrics.json, closes spans.jsonl
 
 
-def _cmd_check_single(args) -> int:
-    from repro import obs
-    from repro.kernels import has_kernel, run_kernel
-
-    if args.kernel == "fused" and not has_kernel(args.tool):
-        print(
-            f"error: --kernel fused: {args.tool!r} has no fused kernel",
-            file=sys.stderr,
+def _check(args) -> int:
+    """One pipeline for either case: ``--jobs N``, ``--shards M`` or
+    ``--resume DIR`` run each tool through the sharded engine
+    (:class:`_ShardedCheck`); otherwise the trace is analyzed in memory
+    (:class:`_InMemoryCheck`), the 1-shard case without partition,
+    workers or merge.  Both run each tool through
+    :func:`repro.kernels.analyze`; the tool loop and the rendering are
+    shared.
+    """
+    sharded = (
+        args.jobs > 1 or args.shards is not None or args.resume is not None
+    )
+    if sharded and args.oracle:
+        problem = (
+            "--oracle needs the full trace in memory; use --jobs 1 for the "
+            "oracle"
         )
+    elif args.kernel == "fused" and not kernels.has_kernel(args.tool):
+        problem = f"--kernel fused: {args.tool!r} has no fused kernel"
+    elif args.shards is not None and args.shards < 1:
+        problem = f"--shards must be >= 1, got {args.shards}"
+    else:
+        problem = None
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
         return 2
-    with obs.span("check.read", trace=args.trace) as read_span:
-        columns = _load(args, _read_columns)
-        if columns is None:
-            return 2
-        read_span.set(events=len(columns))
-    with obs.span("check.feasibility", events=len(columns)):
-        violations = check_feasible(columns)
-    if violations:
-        print(
-            f"warning: trace is not feasible ({violations[0]})",
-            file=sys.stderr if args.json else sys.stdout,
-        )
+    check = _ShardedCheck(args) if sharded else _InMemoryCheck(args)
+    if not check.open():
+        return 2
     tool_names = list(DETECTORS) if args.all_tools else [args.tool]
-    trace = None
-
-    def events() -> Trace:
-        # Event objects only for the paths that need them: the object
-        # path (``--kernel generic``, kernel-less tools, a kernel fault),
-        # the oracle and the report.
-        nonlocal trace
-        if trace is None:
-            trace = Trace(columns.iter_events())
-        return trace
-
-    use_kernels = args.kernel != "generic"
-    report_target = None
     if args.all_tools and not args.verbose and not args.json:
         print(f"{'tool':<12s}{'warnings':>9s}")
-    worst = 0
-    json_results = {}
-    for name in tool_names:
-        # FastTrack names both sides of the race when sites exist.
-        detector = make_detector(name, **default_tool_kwargs(name))
-        with obs.span("check.analyze", tool=name, events=len(columns)):
-            if use_kernels and has_kernel(name):
-                try:
-                    run_kernel(name, columns, detector=detector)
-                except Exception as error:
-                    # Degrade to the (bit-identical) object path rather
-                    # than failing the whole check on a kernel fault.
-                    obs.record_degraded(
-                        "kernel_fallback", tool=name, error=str(error)
-                    )
-                    detector = make_detector(
-                        name, **default_tool_kwargs(name)
-                    )
-                    detector.process(events())
+    results = {}
+    try:
+        for name in tool_names:
+            # ``--all-tools --kernel fused`` only binds the selected tool;
+            # companion tools without a kernel fall back to the object path.
+            kernel = args.kernel
+            if kernel == "fused" and name != args.tool:
+                kernel = "auto"
+            result = results[name] = check.analyze(name, kernel)
+            if args.json:
+                continue
+            if args.all_tools and not args.verbose:
+                print(f"{name:<12s}{result.warning_count:>9d}")
             else:
-                detector.process(events())
-        obs.record_rules(name, detector.stats)
-        if name == args.tool:
-            worst = detector.warning_count
-            report_target = detector
-        if args.json:
-            from repro.report import detector_result
-
-            json_results[name] = detector_result(detector)
-        elif args.all_tools and not args.verbose:
-            print(f"{name:<12s}{detector.warning_count:>9d}")
-        else:
-            print(f"{name}: {detector.warning_count} warning(s)")
-            for warning in detector.warnings:
-                print(f"  {warning}")
+                print(f"{name}: {result.warning_count} warning(s)")
+                for warning in result.warnings:
+                    print(f"  {warning}")
+    except check.errors as error:
+        return check.failed(error)
+    finally:
+        check.close()
+    notes = sys.stderr if args.json else sys.stdout
     if args.json:
+        from repro.report import dumps_result, result_set
+
+        documents = check.documents(results)
+        sys.stdout.write(dumps_result(
+            result_set(documents) if args.all_tools else documents[args.tool]
+        ))
+    oracle_set = None
+    if args.oracle:  # in memory only: refused with the engine above
+        oracle_set = check.oracle()
+        rendered = ", ".join(sorted(map(str, oracle_set))) or "none"
+        print(f"happens-before oracle: racy variables: {rendered}",
+              file=notes)
+    selected = results[args.tool]
+    if args.report is not None:
+        text = check.report(selected, oracle_set)
+        if args.report.endswith(".html"):
+            from repro.report import _markdown_to_html
+
+            text = _markdown_to_html(text)
+        with open(args.report, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        print(f"report written to {args.report}", file=notes)
+    if check.degraded:
+        return 4
+    return 1 if selected.warning_count else 0
+
+
+class _InMemoryCheck:
+    """``repro check`` over the whole trace in memory: the ingest, the
+    feasibility check, one detector per tool, the classifier sharing the
+    checked tool's verdict, the oracle and the full report."""
+
+    degraded = False
+    errors = ()  # nothing past the ingest is an input error
+
+    def __init__(self, args) -> None:
+        self.args = args
+        self.columns = None
+        self.trace = None
+
+    def open(self) -> bool:
+        """Read the trace and warn when it is not feasible; ``False``
+        after printing the error when it cannot be read."""
+        from repro import obs
+
+        args = self.args
+        with obs.span("check.read", trace=args.trace) as read_span:
+            self.columns = _load(args, _read_columns)
+            if self.columns is None:
+                return False
+            read_span.set(events=len(self.columns))
+        with obs.span("check.feasibility", events=len(self.columns)):
+            violations = check_feasible(self.columns)
+        if violations:
+            print(
+                f"warning: trace is not feasible ({violations[0]})",
+                file=sys.stderr if args.json else sys.stdout,
+            )
+        return True
+
+    def analyze(self, name: str, kernel: str):
+        from repro import obs
+
+        with obs.span("check.analyze", tool=name, events=len(self.columns)):
+            detector, _ = kernels.analyze(
+                name, self.columns, kernel, default_tool_kwargs(name)
+            )
+        obs.record_rules(name, detector.stats)
+        return detector
+
+    def close(self) -> None:
+        pass
+
+    def documents(self, detectors) -> dict:
+        from repro import obs
         from repro.detectors.classifier import SharingClassifier
-        from repro.report import classifier_counts
+        from repro.report import classifier_counts, detector_result
 
         # After the tools: the checked tool's FastTrack run is also the
         # classifier's race verdict, so FastTrack does not run twice.
-        with obs.span("check.classify", events=len(columns)):
+        with obs.span("check.classify", events=len(self.columns)):
             classifier = SharingClassifier()
-            classifier.process(columns, verdict=report_target)
+            classifier.process(
+                self.columns, verdict=detectors[self.args.tool]
+            )
             counts = classifier_counts(classifier)
-        for result in json_results.values():
-            result["classifier"] = counts
-        _print_json_results(json_results, args)
-    oracle_set = None
-    if args.oracle:
-        oracle_set = racy_variables(events())
-        rendered = ", ".join(sorted(map(str, oracle_set))) or "none"
-        print(
-            f"happens-before oracle: racy variables: {rendered}",
-            file=sys.stderr if args.json else sys.stdout,
-        )
-    if args.report is not None and report_target is not None:
+        documents = {}
+        for name, detector in detectors.items():
+            documents[name] = detector_result(detector)
+            documents[name]["classifier"] = counts
+        return documents
+
+    def events(self) -> Trace:
+        # Event objects only for the oracle and the report.
+        if self.trace is None:
+            self.trace = Trace(self.columns.iter_events())
+        return self.trace
+
+    def oracle(self) -> set:
+        return racy_variables(self.events())
+
+    def report(self, detector, oracle_set) -> str:
         from repro.report import build_report
 
-        fmt = "html" if args.report.endswith(".html") else "markdown"
-        text = build_report(
-            events(), report_target, fmt=fmt, oracle_racy=oracle_set
+        return build_report(self.events(), detector, oracle_racy=oracle_set)
+
+
+class _ShardedCheck:
+    """``repro check`` through the sharded engine: each tool's run
+    partitions (once, shared by every tool), analyzes the shards under
+    supervision and merges them."""
+
+    def __init__(self, args) -> None:
+        from repro import engine
+
+        self.engine = engine
+        self.args = args
+        self.degraded = False
+        self.workdir = args.resume
+        self.owns_workdir = False
+        self.partitioned = args.resume is not None
+        self.policy = engine.RetryPolicy(
+            shard_timeout_s=getattr(args, "shard_timeout", None)
         )
-        with open(args.report, "w", encoding="utf-8") as stream:
-            stream.write(text)
-        print(
-            f"report written to {args.report}",
-            file=sys.stderr if args.json else sys.stdout,
+        self.errors = (
+            serialize.TraceParseError,
+            engine.DrainRequested,
+            engine.QuarantineExhausted,
+            engine.CheckpointError,
+            OSError,
         )
-    return 1 if worst else 0
+
+    def open(self) -> bool:
+        if self.workdir is None and self.args.all_tools:
+            # Partition once, analyze with every tool against the same
+            # shards.
+            self.workdir = self.engine.scratch_workdir()
+            self.owns_workdir = True
+        return True
+
+    def analyze(self, name: str, kernel: str):
+        args = self.args
+        report = self.engine.check_trace_file(
+            args.trace,
+            tool=name,
+            fmt=args.format,
+            nshards=args.shards,
+            jobs=args.jobs,
+            workdir=self.workdir,
+            resume=self.partitioned,
+            classify=args.json,
+            tool_kwargs=default_tool_kwargs(name),
+            kernel=kernel,
+            policy=self.policy,
+        )
+        self.partitioned = True  # later tools reuse the partition
+        if report.is_degraded:
+            self.degraded = True
+            quarantined = report.degraded["quarantined_shards"]
+            print(
+                f"degraded: {name}: {len(quarantined)} of "
+                f"{report.degraded['shards_total']} shard(s) "
+                f"quarantined ({quarantined}); their variables were "
+                "not analyzed",
+                file=sys.stderr,
+            )
+        return report
+
+    def failed(self, error: Exception) -> int:
+        """Print one of :attr:`errors`; return the exit status."""
+        if isinstance(error, serialize.TraceParseError):
+            _print_parse_error(self.args.trace, error)
+        elif isinstance(error, OSError):
+            print(f"error: {self.args.trace}: {error.strerror or error}",
+                  file=sys.stderr)
+        elif isinstance(error, self.engine.DrainRequested):
+            print(f"drained: {error}", file=sys.stderr)
+            return 3
+        else:
+            print(f"error: {error}", file=sys.stderr)
+            if isinstance(error, self.engine.QuarantineExhausted):
+                return 4
+        return 2
+
+    def close(self) -> None:
+        if self.owns_workdir:
+            self.engine.Workdir(self.workdir).release_blocks()
+
+    def documents(self, reports) -> dict:
+        return {name: report.to_json() for name, report in reports.items()}
+
+    def report(self, report, oracle_set) -> str:
+        return self.engine.render_markdown(report)
 
 
 def cmd_profile(args) -> int:
@@ -979,7 +991,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--kernel",
-        choices=("auto", "fused", "generic"),
+        choices=kernels.KERNEL_MODES,
         default="auto",
         help="analysis loop: fused columnar kernel, generic object path, "
         "or auto (fused when the tool has one)",
@@ -1240,7 +1252,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--format", choices=("text", "jsonl"), default="text")
     submit.add_argument("--shards", type=int, default=None, metavar="M")
     submit.add_argument(
-        "--kernel", choices=("auto", "fused", "generic"), default="auto"
+        "--kernel", choices=kernels.KERNEL_MODES, default="auto"
     )
     submit.add_argument(
         "--wait", action="store_true",

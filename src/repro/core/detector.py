@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
 from repro.trace import events as ev
@@ -175,7 +176,11 @@ class Detector:
 
     # -- driving ------------------------------------------------------------
 
-    def process(self, trace: Iterable[ev.Event]) -> "Detector":
+    def process(
+        self,
+        trace: Iterable[ev.Event],
+        indices: Optional[Iterable[int]] = None,
+    ) -> "Detector":
         """Run the analysis over an entire event stream in one pass.
 
         The operation-mix tallies are folded into the same loop — the
@@ -183,14 +188,21 @@ class Detector:
         iterables (``iter_load``, generators) stream through.
         :meth:`absorb_kind_counts` remains for callers that drive
         :meth:`handle` event by event themselves.
+
+        ``indices``, when given, are the events' original trace positions
+        (see :meth:`handle`): a sharded engine worker replays its shard's
+        sub-stream with them.
         """
         stats = self.stats
+        handle = self.handle
         READ = ev.READ
         WRITE = ev.WRITE
         ENTER = ev.ENTER
         EXIT = ev.EXIT
         reads = writes = syncs = boundaries = total = 0
-        for event in trace:
+        if indices is None:
+            indices = repeat(None)
+        for event, index in zip(trace, indices):
             kind = event.kind
             if kind == READ:
                 reads += 1
@@ -201,7 +213,7 @@ class Detector:
             else:
                 syncs += 1
             total += 1
-            self.handle(event)
+            handle(event, index)
         stats.events += total
         stats.reads += reads
         stats.writes += writes

@@ -57,13 +57,7 @@ from repro.engine.merge import (
     merge_warnings,
     render_markdown,
 )
-from repro.engine.partition import (
-    attach_shard,
-    iter_shard,
-    load_shard_columns,
-    partition_events,
-    shard_of,
-)
+from repro.engine.partition import iter_shard, partition_events, shard_of
 from repro.engine.supervise import (
     EngineTimeout,
     QuarantineExhausted,
@@ -76,12 +70,11 @@ from repro.engine.worker import (
     analyze_shard,
     drain_requested,
     install_drain_handler,
-    load_payloads,
     request_drain,
     reset_drain,
-    resolve_kernel,
     run_shard,
 )
+from repro.kernels import resolve_kernel
 from repro.trace import events as ev
 from repro.trace.columnar import TraceRows
 
@@ -95,15 +88,12 @@ __all__ = [
     "ShardFailure",
     "Workdir",
     "analyze_shard",
-    "attach_shard",
     "check_events",
     "check_trace_file",
     "default_nshards",
     "drain_requested",
     "install_drain_handler",
     "iter_shard",
-    "load_payloads",
-    "load_shard_columns",
     "merge_shard_results",
     "merge_stats",
     "merge_warnings",
@@ -222,7 +212,6 @@ def _run(
     owns_workdir = workdir is None
     root = scratch_workdir() if owns_workdir else workdir
     wd = Workdir(root)
-    timings: Dict = {"partition_s": None}
     try:
         meta = wd.read_meta() if resume else None
         if meta is not None:
@@ -237,16 +226,13 @@ def _run(
                 # can no longer identify).
                 wd.ensure_resumable_layout(meta)
             shards = nshards if nshards is not None else default_nshards(jobs)
-            partition_started = time.monotonic()
             with obs.span("engine.partition", tool=tool) as span:
                 meta = partition_events(events_factory(), wd, shards)
                 span.set(
                     events=meta["events"], shards=meta["nshards"],
                     bytes=sum(meta.get("shard_bytes", [])),
                 )
-            timings["partition_s"] = time.monotonic() - partition_started
         count = meta["nshards"]
-        timings["shard_bytes"] = sum(meta.get("shard_bytes", []))
         if jobs > 1 and count and meta["events"] // count < MIN_EVENTS_PER_SHARD:
             obs.log.warning(
                 "engine.jobs.tiny_shards",
@@ -282,7 +268,6 @@ def _run(
                 root, pending, tool, tool_kwargs, jobs, classify, kernel,
                 executor=executor, policy=policy, trace=trace_ctx,
             ))
-        timings["analyze_s"] = time.monotonic() - submitted
         failed = {failure.shard for failure in failures}
         survivors = set(wd.completed_shards(tool, count))
         redo = [
@@ -311,35 +296,8 @@ def _run(
         payloads = [
             wd.read_result(tool, shard) for shard in sorted(survivors)
         ]
-        merge_started = time.monotonic()
         with obs.span("engine.merge", tool=tool, shards=count):
             report = merge_shard_results(payloads)
-        timings["merge_s"] = time.monotonic() - merge_started
-        # Per-shard attach cost, measured inside the workers: under v3
-        # this is the whole transport tax (there is no deserialization),
-        # and the bench's stage breakdown sums it across shards.
-        timings["transport_s"] = sum(
-            payload.get("timing", {}).get("transport_s", 0.0)
-            for payload in payloads
-        )
-        report.timings = timings
-        if obs.enabled():
-            # MergedReport.timings never reaches the result JSON (byte
-            # identity), so surface the stage breakdown as its own record:
-            # a zero-duration marker span (the ``degraded`` convention) so
-            # it never skews stage totals or the critical path.
-            obs.emit_span(
-                "engine.summary",
-                0.0,
-                tool=tool,
-                events=meta["events"],
-                shards=count,
-                partition_s=timings.get("partition_s"),
-                analyze_s=timings.get("analyze_s"),
-                merge_s=timings.get("merge_s"),
-                transport_s=timings.get("transport_s"),
-                shard_bytes=timings.get("shard_bytes"),
-            )
         if quarantined:
             by_shard = {failure.shard: failure for failure in failures}
             report.degraded = {

@@ -45,12 +45,12 @@ import os
 import struct
 import zlib
 from array import array
-from typing import Dict, Hashable, Iterable, Optional, Tuple, Union
+from typing import Dict, Hashable, Iterable, Tuple, Union
 
 from repro.engine import transport as _transport
 from repro.engine.checkpoint import Workdir
 from repro.trace import events as ev
-from repro.trace.columnar import ColumnarTrace, TraceRows
+from repro.trace.columnar import TraceRows
 
 #: Events appended to a batch before it spills to scratch (bounds memory).
 BATCH_EVENTS = 8192
@@ -185,48 +185,6 @@ def partition_events(
 
     obs.record_shard_bytes(sum(shard_bytes))
     return meta
-
-
-def attach_shard(
-    workdir: Workdir, shard: int, meta: Optional[Dict] = None
-) -> _transport.ShardView:
-    """Attach one shard's mapped buffer (see
-    :class:`repro.engine.transport.ShardView`); close it when done."""
-    if meta is None:
-        meta = workdir.read_meta()
-        if meta is None:
-            raise FileNotFoundError(
-                f"no complete v3 partition at {workdir.root!r}"
-            )
-    return _transport.attach_view(workdir, meta, shard)
-
-
-def load_shard_columns(
-    workdir: Workdir,
-    shard: int,
-    intern: Optional[Tuple[list, list]] = None,
-) -> Tuple[ColumnarTrace, "memoryview"]:
-    """Load one shard as ``(columns, original_indices)`` — zero-copy.
-
-    The returned :class:`~repro.trace.columnar.ColumnarTrace` wraps
-    ``memoryview`` casts over the shard's mapped buffer and shares the
-    partition-wide intern tables (pass ``intern`` to reuse an already
-    loaded copy across shards), so fused kernels run on it directly;
-    ``original_indices[i]`` is the trace position of the shard's ``i``-th
-    event, for single-threaded-identical warning indices.  The mapping
-    stays alive as long as the returned trace does (it pins the view);
-    workers that churn through many shards should use
-    :func:`attach_shard` and close explicitly.
-    """
-    meta = workdir.read_meta()
-    if meta is None:
-        raise FileNotFoundError(
-            f"no complete v3 partition at {workdir.root!r}"
-        )
-    if intern is None:
-        intern = _transport.load_intern(workdir, meta)
-    view = _transport.attach_view(workdir, meta, shard)
-    return view.columns(intern)
 
 
 def iter_shard(workdir: Workdir, shard: int) -> Iterable[Tuple[int, ev.Event]]:

@@ -180,10 +180,9 @@ class ShardView:
             closer()
 
     def __del__(self):  # noqa: D105 - GC fallback for unpinned views
-        # Views pinned on a ColumnarTrace (load_shard_columns) have no
-        # explicit close(); release our casts before the mmap's own
-        # finalizer runs, or it would hit "cannot close: exported
-        # pointers exist" at GC time.
+        # A view that was never closed (a ColumnarTrace still pins it):
+        # release our casts before the mmap's own finalizer runs, or it
+        # would hit "cannot close: exported pointers exist" at GC time.
         try:
             self.close()
         except Exception:  # pragma: no cover - interpreter shutdown

@@ -12,16 +12,15 @@ complete).
 The shard arrives as a v3 zero-copy buffer
 (:mod:`repro.engine.transport`): the worker memory-maps the shard's
 file and wraps it with ``memoryview`` casts — no pickle framing, no
-per-event deserialization, no per-batch intern deltas.
-Kernel-equipped tools (``repro.kernels.KERNEL_TOOLS``) run their fused
-loop directly over those casts; the generic object path
-reconstructs ``Event`` objects lazily from the same casts.
-``kernel='auto'`` (the default) picks the kernel when one exists and
-falls back to the object path otherwise; ``'fused'`` demands one;
-``'generic'`` forces the object path.  Either way the payload is
-bit-identical — the kernels' equivalence contract plus the shard replay
-argument compose.  The view is closed at the shard boundary so pooled
-workers never accumulate mappings.
+per-event deserialization, no per-batch intern deltas.  The casts and
+the original-index column go to :func:`repro.kernels.analyze`, the same
+routine the in-memory ``repro check`` runs: kernel-equipped tools run
+their fused loop directly over the casts, the generic object path
+reconstructs ``Event`` objects lazily from them, and ``kernel`` (one of
+:data:`repro.kernels.KERNEL_MODES`) picks between the two.  Either way
+the payload is bit-identical — the kernels' equivalence contract plus
+the shard replay argument compose.  The view is closed at the shard
+boundary so pooled workers never accumulate mappings.
 
 The worker's result — warnings, detector cost stats, optional
 sharing-classifier counts — is checkpointed as JSON through
@@ -37,16 +36,15 @@ import multiprocessing
 import os
 import signal
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro import faults
+from repro import kernels
 from repro import obs
-from repro.core.detector import CostStats, Detector
 from repro.obs import tracecontext
-from repro.detectors.registry import make_detector
 from repro.engine import transport as _transport
 from repro.engine.checkpoint import Workdir
-from repro.kernels import has_kernel, run_kernel
+from repro.kernels import run_kernel  # noqa: F401 - perfbench/layers.py wraps it
 from repro.report import (
     classifier_counts,
     stats_from_json,
@@ -54,18 +52,14 @@ from repro.report import (
     warning_from_json,
     warning_to_json,
 )
-from repro.trace import events as ev
 
 __all__ = [
     "DrainRequested",
-    "KERNEL_MODES",
     "analyze_shard",
     "drain_requested",
     "install_drain_handler",
-    "load_payloads",
     "request_drain",
     "reset_drain",
-    "resolve_kernel",
     "run_shard",
     "stats_from_json",
     "stats_to_json",
@@ -74,9 +68,6 @@ __all__ = [
 ]
 
 PAYLOAD_VERSION = 1
-
-#: Accepted values for the ``kernel`` selector.
-KERNEL_MODES = ("auto", "fused", "generic")
 
 #: Exit status of a shard worker that drained on SIGTERM (128 + 15, the
 #: conventional "terminated" code — but only *after* checkpointing).
@@ -142,42 +133,6 @@ def install_drain_handler():
         return None
 
 
-def resolve_kernel(kernel: str, tool: str) -> bool:
-    """Decide whether ``tool`` runs through its fused kernel.
-
-    ``auto`` uses the kernel when one exists; ``fused`` requires one
-    (``ValueError`` otherwise); ``generic`` always uses the object path.
-    """
-    if kernel not in KERNEL_MODES:
-        raise ValueError(
-            f"unknown kernel mode {kernel!r}; expected one of {KERNEL_MODES}"
-        )
-    if kernel == "generic":
-        return False
-    if has_kernel(tool):
-        return True
-    if kernel == "fused":
-        raise ValueError(
-            f"--kernel fused requested but {tool!r} has no fused kernel"
-        )
-    return False
-
-
-def _tally_kinds(stats: CostStats, kind_counts: Dict[int, int]) -> None:
-    """Per-shard equivalent of :meth:`Detector.absorb_kind_counts`, taken
-    from counts accumulated while streaming (the stream is consumed once)."""
-    for kind, count in kind_counts.items():
-        stats.events += count
-        if kind == ev.READ:
-            stats.reads += count
-        elif kind == ev.WRITE:
-            stats.writes += count
-        elif kind in (ev.ENTER, ev.EXIT):
-            stats.boundaries += count
-        else:
-            stats.syncs += count
-
-
 def analyze_shard(
     workdir: Workdir,
     shard: int,
@@ -200,34 +155,22 @@ def analyze_shard(
     across processes on one machine, so ``start - submitted`` is this
     shard's queue wait.  When telemetry is on the shard emits its own
     ``shard.analyze`` span (with ``shard.attach``/``shard.kernel``
-    children) into this process's span file; the payload still carries
-    the wall/CPU timing either way, for the stage breakdown in
-    BENCH_engine.json and the merged report's ``timings``.
+    children) into this process's span file; those spans are the shard's
+    only timing.
     """
     if faults.active():
         faults.fire("worker.crash", shard=shard, tool=tool, attempt=attempt)
         faults.fire("worker.hang", shard=shard, tool=tool, attempt=attempt)
-    started_monotonic = time.monotonic()
-    started_cpu = time.process_time()
     queue_wait_s = (
-        max(0.0, started_monotonic - submitted)
+        max(0.0, time.monotonic() - submitted)
         if submitted is not None else 0.0
     )
     with obs.span(
         "shard.analyze", shard=shard, tool=tool, attempt=attempt,
         queue_wait_s=queue_wait_s,
     ) as shard_span:
-        detector: Detector = make_detector(tool, **(tool_kwargs or {}))
-        use_fused = resolve_kernel(kernel, tool)
-        classifier = None
-        if classify:
-            from repro.detectors.classifier import SharingClassifier
-
-            classifier = SharingClassifier()
         # Attach the shard's mapped buffer.  This — plus the cached
-        # intern load — is the *entire* per-shard transport cost under v3,
-        # and the payload times it separately so the stage breakdown in
-        # BENCH_engine.json can show the serialization tax is gone.
+        # intern load — is the *entire* per-shard transport cost under v3.
         with obs.span("shard.attach", shard=shard):
             meta = workdir.read_meta()
             if meta is None:
@@ -236,54 +179,23 @@ def analyze_shard(
                 )
             intern = _transport.load_intern(workdir, meta)
             view = _transport.attach_view(workdir, meta, shard)
-        transport_s = time.monotonic() - started_monotonic
         try:
             columns, indices = view.columns(intern)
             events_seen = len(columns)
             with obs.span("shard.kernel", shard=shard, tool=tool) as kspan:
-                if use_fused:
-                    try:
-                        run_kernel(
-                            tool, columns, indices=indices, detector=detector
-                        )
-                    except Exception as error:
-                        # Fused-path failure degrades, it does not fail the
-                        # shard: rebuild the detector (the kernel may have
-                        # half-advanced its shadow state) and redo this
-                        # shard on the generic object path, whose output is
-                        # bit-identical by the equivalence contract.
-                        obs.record_degraded(
-                            "kernel_fallback", tool=tool, shard=shard,
-                            error=str(error),
-                        )
-                        detector = make_detector(tool, **(tool_kwargs or {}))
-                        use_fused = False
-                if not use_fused:
-                    kind_counts: Dict[int, int] = {}
-                    handle = detector.handle
-                    targets, sites = intern
-                    Event = ev.Event
-                    for index, kind, tid, target_id, site_id in zip(
-                        indices, columns.kinds, columns.tids,
-                        columns.target_ids, columns.site_ids,
-                    ):
-                        event = Event(
-                            kind,
-                            tid,
-                            targets[target_id],
-                            sites[site_id] if site_id >= 0 else None,
-                        )
-                        handle(event, index=index)
-                        kind_counts[kind] = kind_counts.get(kind, 0) + 1
-                    _tally_kinds(detector.stats, kind_counts)
-                if classifier is not None:
+                detector, fused = kernels.analyze(
+                    tool, columns, kernel, tool_kwargs, indices, shard=shard
+                )
+                classifier = None
+                if classify:
+                    from repro.detectors.classifier import SharingClassifier
+
                     # The shard's FastTrack run is also the classifier's
                     # race verdict (other tools are ignored by it).
+                    classifier = SharingClassifier()
                     classifier.process(columns, verdict=detector)
-                kspan.set(
-                    events=events_seen,
-                    kernel="fused" if use_fused else "generic",
-                )
+                mode = "fused" if fused else "generic"
+                kspan.set(events=events_seen, kernel=mode)
         finally:
             columns = indices = None
             view.close()
@@ -291,28 +203,19 @@ def analyze_shard(
         classifier_payload = (
             classifier_counts(classifier) if classifier is not None else None
         )
-        shard_span.set(
-            events=events_seen, kernel="fused" if use_fused else "generic"
-        )
+        shard_span.set(events=events_seen, kernel=mode)
 
-    ended_monotonic = time.monotonic()
     payload = {
         "payload_version": PAYLOAD_VERSION,
         "shard": shard,
         "attempt": attempt,
         "tool": tool,
         "events": events_seen,
-        "kernel": "fused" if use_fused else "generic",
+        "kernel": mode,
         "warnings": [warning_to_json(w) for w in detector.warnings],
         "suppressed": detector.suppressed_warnings,
         "stats": stats_to_json(detector.stats),
         "classifier": classifier_payload,
-        "timing": {
-            "started": started_monotonic,
-            "wall_s": ended_monotonic - started_monotonic,
-            "cpu_s": time.process_time() - started_cpu,
-            "transport_s": transport_s,
-        },
     }
     workdir.write_result(tool, shard, payload)
     return payload
@@ -362,10 +265,3 @@ def run_shard(
         # further shards so the parent's drain can proceed.
         os._exit(DRAIN_EXIT_CODE)
     return shard
-
-
-def load_payloads(
-    workdir: Workdir, tool: str, nshards: int
-) -> List[Dict]:
-    """Read every shard's checkpointed payload, in shard order."""
-    return [workdir.read_result(tool, shard) for shard in range(nshards)]

@@ -61,8 +61,7 @@ from urllib.parse import parse_qs, urlsplit
 from repro import engine, faults, obs
 from repro.detectors import DETECTORS, default_tool_kwargs, resolve_tool_name
 from repro.engine.checkpoint import Workdir
-from repro.engine.worker import KERNEL_MODES
-from repro.kernels import has_kernel
+from repro.kernels import KERNEL_MODES, has_kernel
 from repro.obs.metrics import EXPOSITION_CONTENT_TYPE, MetricsRegistry
 from repro.obs.rules import record_rule_counts
 from repro.obs.tracecontext import TRACE_HEADER, clean_trace_id, new_trace_id

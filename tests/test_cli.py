@@ -151,6 +151,15 @@ class TestCheckSharded:
             == 1
         )
         assert "Engine report" in report.read_text()
+        # The file name picks the format, as it does in memory.
+        html = tmp_path / "report.html"
+        assert (
+            main(["check", racy_file, "--shards", "2", "--report", str(html)])
+            == 1
+        )
+        text = html.read_text()
+        assert text.startswith("<!DOCTYPE html>")
+        assert "<h1>Engine report" in text and "# Engine" not in text
 
     def test_parse_error_shows_line_number(self, tmp_path, capsys):
         path = tmp_path / "bad.trace"
